@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "bench_util.h"
 #include "taxitrace/mapmatch/gap_filler.h"
@@ -15,56 +14,6 @@
 
 namespace taxitrace {
 namespace {
-
-void PrintStageTimings(const char* label, const core::StudyResults& r) {
-  std::printf("PIPELINE STAGE TIMINGS (%s):\n", label);
-  std::printf("  map generation       %8.1f ms\n",
-              r.timings.map_generation_ms);
-  std::printf("  fleet simulation     %8.1f ms  (%d threads)\n",
-              r.timings.simulation_ms, r.timings.simulation_threads);
-  std::printf("  cleaning             %8.1f ms  (%d threads)\n",
-              r.timings.cleaning_ms, r.timings.cleaning_threads);
-  std::printf("  selection + matching %8.1f ms  (%d threads)\n",
-              r.timings.selection_matching_ms,
-              r.timings.selection_matching_threads);
-  std::printf("  grid + mixed model   %8.1f ms\n", r.timings.analysis_ms);
-  std::printf("  total                %8.1f ms for %lld raw points\n\n",
-              r.timings.TotalMs(),
-              static_cast<long long>(
-                  r.cleaning_report.raw_points));
-}
-
-std::string RunJson(const core::StudyResults& r, int configured_threads) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "    {\"threads\": %d, \"workers\": %d,\n"
-      "     \"map_generation_ms\": %.2f, \"simulation_ms\": %.2f,\n"
-      "     \"cleaning_ms\": %.2f, \"selection_matching_ms\": %.2f,\n"
-      "     \"analysis_ms\": %.2f, \"total_ms\": %.2f}",
-      configured_threads, r.timings.simulation_threads,
-      r.timings.map_generation_ms, r.timings.simulation_ms,
-      r.timings.cleaning_ms, r.timings.selection_matching_ms,
-      r.timings.analysis_ms, r.timings.TotalMs());
-  return buf;
-}
-
-// The stage timings the simulation overhaul started from, copied
-// verbatim from the schema/2 BENCH_pipeline.json committed before it
-// (per-drive |E|-sized multiplier refills, per-drive buffer churn, full
-// ShortestPath repositioning probes, copy-based cleaning sweeps). Kept
-// inline so the /3 file always carries its own before/after comparison.
-constexpr const char* kBaselineRunsJson =
-    "    {\"threads\": 0, \"workers\": 0,\n"
-    "     \"map_generation_ms\": 10.87, \"simulation_ms\": 3937.76,\n"
-    "     \"cleaning_ms\": 1602.54, \"selection_matching_ms\": 349.61,\n"
-    "     \"analysis_ms\": 5.10, \"total_ms\": 5905.89},\n"
-    "    {\"threads\": -1, \"workers\": 1,\n"
-    "     \"map_generation_ms\": 6.04, \"simulation_ms\": 3663.44,\n"
-    "     \"cleaning_ms\": 1214.07, \"selection_matching_ms\": 375.81,\n"
-    "     \"analysis_ms\": 4.47, \"total_ms\": 5263.84}";
-constexpr double kBaselineSerialSimulationMs = 3937.76;
-constexpr double kBaselineSerialCleaningMs = 1602.54;
 
 double NowMs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -190,8 +139,7 @@ struct CountingSink final : public trace::TripSink {
 };
 
 // Simulation bench of record, two legs emitted to BENCH_simulation.json:
-// the paper-scale 7x365 fleet simulated serially (the sim-only cousin
-// of the pipeline bench's simulation_ms), and a 1000-car x 30-day run
+// the paper-scale 7x365 fleet simulated serially, and a 1000-car x 30-day run
 // through the streaming TripSink interface, where the only raw-trip
 // state alive at any moment is the reorder buffer — its high-water mark
 // (`peak_buffered_shards`, ~worker count) is the bounded-memory number,
@@ -274,99 +222,19 @@ void PrintSimulationBench(bool smoke) {
       static_cast<long long>(big_shards));
 }
 
-// The perf trajectory of record: serial vs parallel full-study stage
-// timings, machine-readable so successive PRs can be compared.
+// Routing and simulation microbenches of record, plus a metrics
+// snapshot of an observability-enabled small study. The full study
+// itself is timed by the repository's benchmark of record (perfbench/,
+// paper_study workload), with repetitions and a digest gate. CI smoke
+// mode shrinks the simulation legs, tags them "smoke", and skips the
+// metrics snapshot so the JSON of record is only rewritten by full runs.
 void PrintScaling() {
-  // CI smoke mode: swap the two multi-second full-study runs for one
-  // small study so the bench-smoke step stays cheap. The routing and
-  // simulation microbenches still run (the latter shrunk and tagged
-  // "smoke") and emit BENCH_routing.json / BENCH_simulation.json; the
-  // pipeline JSON of record is only rewritten by full runs.
-  const char* smoke = std::getenv("TAXITRACE_BENCH_SMOKE");
-  if (smoke != nullptr && smoke[0] != '\0' && smoke[0] != '0') {
-    PrintStageTimings("small study, bench smoke", benchutil::SmallResults());
-    PrintRoutingBench();
-    PrintSimulationBench(/*smoke=*/true);
-    return;
-  }
-
-  core::StudyConfig serial_config = core::StudyConfig::FullStudy();
-  serial_config.num_threads = 0;
-  const core::StudyResults serial =
-      benchutil::RunStudyOrExit(serial_config, "serial full study");
-  PrintStageTimings("full 7-car, 365-day study, serial", serial);
-
-  core::StudyConfig parallel_config = core::StudyConfig::FullStudy();
-  parallel_config.num_threads = -1;  // TAXITRACE_THREADS / all hardware
-  const core::StudyResults parallel =
-      benchutil::RunStudyOrExit(parallel_config, "parallel full study");
-  PrintStageTimings("full 7-car, 365-day study, parallel", parallel);
-
-  const double speedup =
-      parallel.timings.TotalMs() > 0.0
-          ? serial.timings.TotalMs() / parallel.timings.TotalMs()
-          : 0.0;
-  std::string json;
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-pipeline/3\",\n";
-  json += "  \"study\": {\"cars\": 7, \"days\": 365},\n";
-  char line[256];
-  std::snprintf(
-      line, sizeof line, "  \"hardware_threads\": %u,\n",
-      // tt-lint: allow(raw-thread): thread-count probe for the report header
-      std::thread::hardware_concurrency());
-  json += line;
-  std::snprintf(line, sizeof line, "  \"raw_points\": %lld,\n",
-                static_cast<long long>(serial.cleaning_report.raw_points));
-  json += line;
-  json += "  \"baseline\": {\n";
-  json += "    \"note\": \"schema/2 numbers from before the simulation "
-          "& cleaning streaming overhaul\",\n";
-  json += "    \"runs\": [\n  ";
-  json += kBaselineRunsJson;
-  json += "\n    ]\n  },\n";
-  json += "  \"runs\": [\n";
-  json += RunJson(serial, 0) + ",\n";
-  json += RunJson(parallel, -1) + "\n";
-  json += "  ],\n";
-  std::snprintf(line, sizeof line,
-                "  \"parallel_speedup_total\": %.3f,\n", speedup);
-  json += line;
-  const double simulation_speedup =
-      serial.timings.simulation_ms > 0.0
-          ? kBaselineSerialSimulationMs / serial.timings.simulation_ms
-          : 0.0;
-  std::snprintf(line, sizeof line,
-                "  \"serial_simulation_speedup_vs_baseline\": %.2f,\n",
-                simulation_speedup);
-  json += line;
-  const double cleaning_speedup =
-      serial.timings.cleaning_ms > 0.0
-          ? kBaselineSerialCleaningMs / serial.timings.cleaning_ms
-          : 0.0;
-  std::snprintf(line, sizeof line,
-                "  \"serial_cleaning_speedup_vs_baseline\": %.2f\n",
-                cleaning_speedup);
-  json += line;
-  json += "}\n";
-  benchutil::EmitFigureFile("BENCH_pipeline.json", json);
-  std::printf("  parallel speedup (total wall-clock): %.2fx on %d workers\n",
-              speedup, parallel.timings.simulation_threads);
-  std::printf("  serial simulation vs pre-overhaul baseline: "
-              "%.2fx (%.1f ms -> %.1f ms)\n",
-              simulation_speedup, kBaselineSerialSimulationMs,
-              serial.timings.simulation_ms);
-  std::printf("  serial cleaning vs pre-overhaul baseline: "
-              "%.2fx (%.1f ms -> %.1f ms)\n\n",
-              cleaning_speedup, kBaselineSerialCleaningMs,
-              serial.timings.cleaning_ms);
-
+  const char* env = std::getenv("TAXITRACE_BENCH_SMOKE");
+  const bool smoke = env != nullptr && env[0] != '\0' && env[0] != '0';
   PrintRoutingBench();
-  PrintSimulationBench(/*smoke=*/false);
+  PrintSimulationBench(smoke);
+  if (smoke) return;
 
-  // Metrics snapshot from a separate observability-enabled small study.
-  // The two timed full-study runs above keep observability off, so the
-  // wall times of record always benchmark the disabled (no-op) path.
   core::StudyConfig metrics_config = core::StudyConfig::SmallStudy();
   metrics_config.observability.enabled = true;
   const core::StudyResults observed =

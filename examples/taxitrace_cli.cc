@@ -23,7 +23,8 @@
 // ingestion path (bounded-lag order repair, per-window clean + match)
 // instead of the batch stages and prints the ingest latency summary;
 // --ingest-lag and --ingest-shuffle set the watermark lag and the
-// adversarial arrival shuffle, both in arrival slots.
+// adversarial arrival shuffle, both in arrival slots; each must be an
+// integer in [0, stream::kMaxReorderLag], or the command exits 2.
 //
 // `serve` runs a study, freezes it into a taxitrace-snapshot/1 buffer,
 // and answers demonstration point/bbox/scenario-slice queries over it.
@@ -257,34 +258,49 @@ int Analyze(int argc, char** argv) {
   return 0;
 }
 
+// Parses a whole-string integer flag value; on failure prints why and
+// returns false (the caller exits 2).
+bool ParseFlag(const char* flag, const char* text, int64_t* value) {
+  const Result<int64_t> parsed = ParseInt64(text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n", flag,
+                 parsed.status().ToString().c_str());
+    return false;
+  }
+  *value = *parsed;
+  return true;
+}
+
 int Study(int argc, char** argv) {
   const char* metrics_path = nullptr;
-  bool stream_ingest = false;
-  int64_t ingest_lag = -1;
-  int64_t ingest_shuffle = -1;
+  core::StudyConfig config = core::StudyConfig::SmallStudy();
+  config.observability.enabled = true;
+  stream::IngestOptions& ingest = config.ingest;
   std::vector<const char*> positional;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics-json") == 0) {
       if (i + 1 >= argc) return 2;
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--stream-ingest") == 0) {
-      stream_ingest = true;
+      config.stream_ingestion = true;
     } else if (std::strcmp(argv[i], "--ingest-lag") == 0) {
       if (i + 1 >= argc) return 2;
-      ingest_lag = std::atoll(argv[++i]);
+      if (!ParseFlag(argv[i], argv[i + 1], &ingest.reorder_lag)) return 2;
+      ++i;
     } else if (std::strcmp(argv[i], "--ingest-shuffle") == 0) {
       if (i + 1 >= argc) return 2;
-      ingest_shuffle = std::atoll(argv[++i]);
+      if (!ParseFlag(argv[i], argv[i + 1], &ingest.arrival_shuffle_window)) {
+        return 2;
+      }
+      ++i;
     } else {
       positional.push_back(argv[i]);
     }
   }
-  core::StudyConfig config = core::StudyConfig::SmallStudy();
-  config.observability.enabled = true;
-  config.stream_ingestion = stream_ingest;
-  if (ingest_lag >= 0) config.ingest.reorder_lag = ingest_lag;
-  if (ingest_shuffle >= 0) {
-    config.ingest.arrival_shuffle_window = ingest_shuffle;
+  const Status ingest_ok = stream::ValidateIngestOptions(ingest);
+  if (!ingest_ok.ok()) {
+    std::fprintf(stderr, "error: %s\n", ingest_ok.ToString().c_str());
+    return 2;
   }
   if (!positional.empty()) config.fleet.num_cars = std::atoi(positional[0]);
   if (positional.size() > 1) {
@@ -302,7 +318,7 @@ int Study(int argc, char** argv) {
               static_cast<long long>(results->raw_trips),
               results->transitions.size(),
               results->overall_mean_speed_kmh);
-  if (stream_ingest) {
+  if (config.stream_ingestion) {
     const stream::IngestStats& ing = results->ingest_stats;
     std::printf(
         "online ingestion: lag %lld slots, shuffle window %lld, "

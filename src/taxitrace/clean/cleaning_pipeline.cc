@@ -59,35 +59,10 @@ void FoldTripCleanOutput(const TripCleanOutput& out,
   local.faults.Add(out.faults);
 }
 
-void PublishCleaningMetrics(const CleaningReport& report,
-                            const std::vector<trace::Trip>& cleaned,
-                            obs::MetricsRegistry* metrics) {
-  metrics->counter("clean.raw_trips")->Add(report.raw_trips);
-  metrics->counter("clean.raw_points")->Add(report.raw_points);
-  metrics->counter("clean.points_after_sanitize")
-      ->Add(report.points_after_sanitize);
-  metrics->counter("clean.points_after_outliers")
-      ->Add(report.points_after_outliers);
-  metrics->counter("clean.duplicates_removed")
-      ->Add(report.outliers.duplicates_removed);
-  metrics->counter("clean.spikes_removed")
-      ->Add(report.outliers.spikes_removed);
-  metrics->counter("clean.implied_speed_removed")
-      ->Add(report.outliers.implied_speed_removed);
-  metrics->counter("clean.segments_out")->Add(report.clean_segments);
-  metrics->counter("clean.points_out")->Add(report.clean_points);
-  obs::HistogramMetric* seg_points =
-      metrics->histogram("clean.points_per_segment", 0.0, 400.0, 40);
-  for (const trace::Trip& t : cleaned) {
-    seg_points->Record(static_cast<double>(t.points.size()));
-  }
-}
-
 Result<std::vector<trace::Trip>> CleanTrips(const trace::TraceStore& store,
                                             const CleaningOptions& options,
                                             CleaningReport* report,
-                                            const Executor* executor,
-                                            obs::MetricsRegistry* metrics) {
+                                            const Executor* executor) {
   CleaningReport local;
   local.raw_trips = static_cast<int64_t>(store.NumTrips());
   local.raw_points = static_cast<int64_t>(store.NumPoints());
@@ -113,9 +88,6 @@ Result<std::vector<trace::Trip>> CleanTrips(const trace::TraceStore& store,
   local.clean_segments = static_cast<int64_t>(cleaned.size());
   for (const trace::Trip& t : cleaned) {
     local.clean_points += static_cast<int64_t>(t.points.size());
-  }
-  if (metrics != nullptr) {
-    PublishCleaningMetrics(local, cleaned, metrics);
   }
   if (report != nullptr) *report = local;
   return cleaned;

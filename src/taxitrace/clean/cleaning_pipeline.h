@@ -13,7 +13,6 @@
 #include "taxitrace/clean/trip_filter.h"
 #include "taxitrace/common/result.h"
 #include "taxitrace/fault/fault_report.h"
-#include "taxitrace/obs/metrics.h"
 #include "taxitrace/trace/trace_store.h"
 
 namespace taxitrace {
@@ -63,7 +62,7 @@ struct CleaningReport {
 /// per-stage counter deltas. Deltas are summed (all counters are plain
 /// integers) and segments concatenated in raw-trip order, which
 /// reproduces the serial pipeline's output exactly — the contract both
-/// CleanTrips and the streaming pipeline build on.
+/// CleanTrips and core::Pipeline's per-trip unit build on.
 struct TripCleanOutput {
   std::vector<trace::Trip> segments;
   int64_t points_after_sanitize = 0;
@@ -77,19 +76,13 @@ struct TripCleanOutput {
 };
 
 /// Runs every per-trip stage on a single raw trip. Takes the trip by
-/// value: batch callers pass a copy, streaming callers move the trip in
-/// and the raw points die with it — the point of streaming.
+/// value: store walks pass a copy, online ingestion moves each closed
+/// window in and its raw points die with it.
 TripCleanOutput CleanOneTrip(trace::Trip raw, const CleaningOptions& options);
 
 /// Folds one trip's counter deltas into `report` (raw_trips/raw_points
 /// and the clean_* totals are the caller's; segments are untouched).
 void FoldTripCleanOutput(const TripCleanOutput& out, CleaningReport* report);
-
-/// Publishes a merged report and the cleaned segments as `clean.*`
-/// counters plus the points-per-segment histogram.
-void PublishCleaningMetrics(const CleaningReport& report,
-                            const std::vector<trace::Trip>& cleaned,
-                            obs::MetricsRegistry* metrics);
 
 /// Runs the pipeline over all trips of a store and returns the cleaned
 /// trip segments.
@@ -101,14 +94,9 @@ void PublishCleaningMetrics(const CleaningReport& report,
 ///
 /// Fails only on executor errors; malformed input never fails the call
 /// — the sanitiser drops it and accounts for it in `report->faults`.
-///
-/// When `metrics` is given, the merged report is also published as
-/// `clean.*` counters plus a points-per-segment histogram. All of them
-/// are deterministic data counts, never timings.
 Result<std::vector<trace::Trip>> CleanTrips(
     const trace::TraceStore& store, const CleaningOptions& options = {},
-    CleaningReport* report = nullptr, const Executor* executor = nullptr,
-    obs::MetricsRegistry* metrics = nullptr);
+    CleaningReport* report = nullptr, const Executor* executor = nullptr);
 
 }  // namespace clean
 }  // namespace taxitrace

@@ -2,6 +2,13 @@
 // OD selection -> map matching -> attribute fetching -> grid statistics
 // -> mixed model. Produces every data structure behind the paper's
 // tables and figures.
+//
+// Cleaning, selection and matching run as one per-trip unit of work fed
+// by one of two sources: the batch source walks the raw trace store,
+// the ingest source (StudyConfig::stream_ingestion) replays each car's
+// arrival stream and runs the unit on every window as it closes. One
+// fold walks the unit's outputs in store order and builds the cleaning
+// report, Table 3, the transitions, the funnel and the counters.
 
 #ifndef TAXITRACE_CORE_PIPELINE_H_
 #define TAXITRACE_CORE_PIPELINE_H_
@@ -24,28 +31,24 @@
 namespace taxitrace {
 namespace core {
 
-/// Wall-clock cost of each pipeline stage, milliseconds, plus the
-/// worker-thread count each parallel stage ran with (0 = serial).
-/// Derived from the run's obs::Trace stage spans; kept as a flat
-/// struct for the existing report/bench call sites.
+/// Wall-clock cost of each pipeline stage, milliseconds, read from the
+/// run's obs::Trace stage spans, plus the worker-thread count every
+/// parallel stage ran with (0 = serial).
 struct StageTimings {
   double map_generation_ms = 0.0;
   double simulation_ms = 0.0;
-  double cleaning_ms = 0.0;
-  double selection_matching_ms = 0.0;
-  double analysis_ms = 0.0;
-  /// Online ingestion (stream_ingestion runs only): the fused
-  /// clean + match work that replaces the cleaning and
-  /// selection_matching stages, whose spans are then near-empty.
+  /// The per-trip unit (cleaning, selection, matching) over either
+  /// source, plus the fold of its outputs.
+  double clean_match_ms = 0.0;
+  /// Online ingestion runs only: the ingest source, nested inside
+  /// clean_match.
   double stream_ingest_ms = 0.0;
+  double analysis_ms = 0.0;
 
-  int simulation_threads = 0;
-  int cleaning_threads = 0;
-  int selection_matching_threads = 0;
+  int threads = 0;
 
   [[nodiscard]] double TotalMs() const {
-    return map_generation_ms + simulation_ms + cleaning_ms +
-           selection_matching_ms + analysis_ms + stream_ingest_ms;
+    return map_generation_ms + simulation_ms + clean_match_ms + analysis_ms;
   }
 };
 

@@ -7,6 +7,40 @@
 
 namespace taxitrace {
 namespace core {
+namespace {
+
+std::vector<odselect::OdGate> MakeGates(const synth::CityMap& map,
+                                        const StudyConfig& config) {
+  std::vector<odselect::OdGate> gates;
+  for (const synth::GateRoad& g : map.gates) {
+    gates.emplace_back(g.name, g.geometry, config.gate);
+  }
+  return gates;
+}
+
+}  // namespace
+
+MatchMachinery::MatchMachinery(const synth::CityMap& map,
+                               const StudyConfig& config)
+    : extractor(MakeGates(map, config), map.network.projection()),
+      index(&map.network),
+      matcher(&map.network, &index, config.matcher),
+      fetcher(&map.network, config.attributes),
+      context{&extractor,
+              &gate_by_name,
+              &matcher,
+              &fetcher,
+              &map.network,
+              &map.central_area,
+              &map.network.projection(),
+              map.network.Bounds().Inflated(300.0),
+              &config.transition_filter,
+              &config.speed,
+              config.matcher.gap.route_cache_capacity} {
+  for (const odselect::OdGate& g : extractor.gates()) {
+    gate_by_name.emplace(g.name(), &g);
+  }
+}
 
 SegmentMatchOutput MatchSegment(const trace::Trip& segment,
                                 const SegmentMatchContext& context) {

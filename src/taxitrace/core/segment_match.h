@@ -1,11 +1,11 @@
-// The per-segment selection + matching unit of work, shared by the
-// batch pipeline's ParallelFor over cleaned segments and the online
-// ingestion path's per-window flush. One cleaned segment in, one
-// SegmentMatchOutput out; all inputs are shared read-only machinery,
-// every counter lands in exactly one bucket, and the per-segment route
-// cache lives and dies inside the call — which is what makes the
-// outputs foldable in any caller-chosen deterministic order and the
-// two paths byte-identical.
+// The per-segment selection + matching step of core::Pipeline's
+// per-trip unit, run on every segment that survives cleaning whichever
+// source (store walk or online ingestion) feeds the unit. One cleaned
+// segment in, one SegmentMatchOutput out; all inputs are shared
+// read-only machinery, every counter lands in exactly one bucket, and
+// the per-segment route cache lives and dies inside the call — which
+// is what makes the outputs foldable in any caller-chosen
+// deterministic order and the two sources byte-identical.
 
 #ifndef TAXITRACE_CORE_SEGMENT_MATCH_H_
 #define TAXITRACE_CORE_SEGMENT_MATCH_H_
@@ -16,6 +16,7 @@
 
 #include "taxitrace/analysis/route_stats.h"
 #include "taxitrace/analysis/speed_categories.h"
+#include "taxitrace/core/study_config.h"
 #include "taxitrace/geo/coordinates.h"
 #include "taxitrace/mapattr/attribute_fetcher.h"
 #include "taxitrace/mapmatch/incremental_matcher.h"
@@ -76,6 +77,21 @@ struct SegmentMatchContext {
   const analysis::SpeedCategoryOptions* speed = nullptr;
   /// Capacity of the per-segment route cache (matcher gap-fill memo).
   size_t route_cache_capacity = 0;
+};
+
+/// Owns one study's shared read-only matching machinery and the
+/// context over it. Not copyable: the context points into it.
+struct MatchMachinery {
+  MatchMachinery(const synth::CityMap& map, const StudyConfig& config);
+  MatchMachinery(const MatchMachinery&) = delete;
+  MatchMachinery& operator=(const MatchMachinery&) = delete;
+
+  odselect::TransitionExtractor extractor;
+  std::unordered_map<std::string, const odselect::OdGate*> gate_by_name;
+  roadnet::SpatialIndex index;
+  mapmatch::IncrementalMatcher matcher;
+  mapattr::AttributeFetcher fetcher;
+  SegmentMatchContext context;
 };
 
 /// Selects, matches and annotates every transition of one cleaned

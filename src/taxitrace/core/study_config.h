@@ -44,19 +44,6 @@ struct StudyConfig {
   /// funnel, empty StudyResults::observability).
   obs::ObservabilityOptions observability;
 
-  /// Chain simulation -> cleaning per raw trip instead of materialising
-  /// the whole raw trace store first. Each finished trip is cleaned as
-  /// it leaves the simulator's ordered merge and only its surviving
-  /// segments are kept, so peak memory is bounded by per-(car, day)
-  /// state rather than the campaign's full point count — what makes
-  /// 1000-car studies fit. StudyResults are byte-identical to the
-  /// in-memory path at any worker count; only StageTimings shift
-  /// (cleaning work lands inside the simulation span). When a
-  /// FaultPlan is active the pipeline falls back to the in-memory path:
-  /// file-level faults corrupt one CSV view of the whole store, which
-  /// has no per-trip equivalent.
-  bool stream_simulation = false;
-
   /// Online ingestion: rebuild each car's raw trace as an arrival
   /// stream (stream/stream_source.h), undo bounded reordering with a
   /// watermark that trails the stream head by `ingest.reorder_lag`
@@ -66,14 +53,14 @@ struct StudyConfig {
   /// path at any worker count whenever every arrival displacement fits
   /// the lossless bound (reorder_lag / 2); records beyond it become
   /// counted funnel drops (`points.ingested`), never silent losses.
-  /// Takes precedence over stream_simulation: ingestion consumes the
-  /// materialised (and possibly fault-corrupted) store, exactly what
-  /// batch cleaning would have seen.
+  /// Ingestion replays the materialised (and possibly fault-corrupted)
+  /// store, exactly what the batch source would have seen.
+  /// Pipeline::Run rejects options failing ValidateIngestOptions.
   bool stream_ingestion = false;
   stream::IngestOptions ingest;
 
-  /// Worker threads for the parallel stages (simulation, cleaning,
-  /// selection + matching): 0 = serial, -1 = resolve from the
+  /// Worker threads for the parallel stages (simulation and the
+  /// per-trip clean + match unit): 0 = serial, -1 = resolve from the
   /// TAXITRACE_THREADS environment variable (else all hardware
   /// threads). Results are byte-identical at any value.
   int num_threads = -1;

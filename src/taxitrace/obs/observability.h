@@ -28,7 +28,7 @@ namespace obs {
 struct ObservabilityOptions {
   /// Collect the funnel ledger, metrics registry and span trace into
   /// StudyResults::observability. Off by default: the pipeline then
-  /// records only the five stage spans it always kept (StageTimings).
+  /// keeps only its stage spans, which StageTimings reads.
   bool enabled = false;
 };
 

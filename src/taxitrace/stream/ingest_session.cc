@@ -30,6 +30,18 @@ void IngestStats::Add(const IngestStats& other) {
   }
 }
 
+Status ValidateIngestOptions(const IngestOptions& options) {
+  const auto check = [](const char* name, int64_t value) {
+    if (value >= 0 && value <= kMaxReorderLag) return Status::OK();
+    return Status::InvalidArgument(
+        StrFormat("ingest %s %lld outside [0, %lld]", name,
+                  static_cast<long long>(value),
+                  static_cast<long long>(kMaxReorderLag)));
+  };
+  TAXITRACE_RETURN_IF_ERROR(check("reorder_lag", options.reorder_lag));
+  return check("arrival_shuffle_window", options.arrival_shuffle_window);
+}
+
 int64_t IngestLatencyQuantile(const IngestStats& stats, double q) {
   int64_t total = 0;
   for (const int64_t n : stats.latency_hist) total += n;
@@ -55,7 +67,7 @@ int64_t IngestLatencyMax(const IngestStats& stats) {
 IngestSession::IngestSession(int car_id, const IngestOptions& options,
                              trace::TripSink* sink)
     : car_id_(car_id), options_(options), sink_(sink) {
-  TT_CHECK(options_.reorder_lag >= 0);
+  TT_CHECK_OK(ValidateIngestOptions(options_));
   // One bucket per latency value the lossless contract allows, plus an
   // overflow bucket for anything beyond the lag (late floods can stall
   // a buffered record past the bound; the overflow keeps that visible).

@@ -39,6 +39,12 @@
 namespace taxitrace {
 namespace stream {
 
+/// Upper bound on IngestOptions::reorder_lag and arrival_shuffle_window,
+/// in arrival slots. A session keeps one latency bucket per slot of lag
+/// (512 KiB per car at the bound), and the bound keeps every seq and
+/// shuffle-key sum far from int64 overflow.
+inline constexpr int64_t kMaxReorderLag = int64_t{1} << 16;
+
 /// Knobs of the online ingestion path.
 struct IngestOptions {
   /// Reorder window, in arrival slots: how far the watermark trails the
@@ -53,6 +59,10 @@ struct IngestOptions {
   int64_t arrival_shuffle_window = 0;
   uint64_t arrival_shuffle_seed = 0x5EEDA11CULL;
 };
+
+/// InvalidArgument unless 0 <= reorder_lag <= kMaxReorderLag and
+/// 0 <= arrival_shuffle_window <= kMaxReorderLag.
+Status ValidateIngestOptions(const IngestOptions& options);
 
 /// What one (or a fold of several) ingest session(s) did. All fields
 /// are plain integer counts merged additively in car order, so the
@@ -106,6 +116,7 @@ class IngestSession {
   /// `sink` receives each closed window as a trace::Trip, in release
   /// order, from the thread driving Ingest/FinishStream; it may be
   /// null (count-only ingestion). The sink's error aborts the session.
+  /// `options` must pass ValidateIngestOptions.
   IngestSession(int car_id, const IngestOptions& options,
                 trace::TripSink* sink);
 

@@ -34,6 +34,19 @@ test -s metrics.json
 grep -q '"funnel"' metrics.json
 grep -q '"counters"' metrics.json
 
+# Bad ingest options exit 2 with a message instead of aborting or
+# being read as 0: a non-numeric lag, and a lag far beyond the bound.
+for bad in "--ingest-lag abc" "--ingest-lag 9223372036854775000"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$CLI" study --stream-ingest $bad 1 2 > /dev/null 2> err.txt || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q "^error: " err.txt; then
+    echo "expected exit 2 with a message for 'study $bad', got $rc" >&2
+    cat err.txt >&2
+    exit 1
+  fi
+done
+
 # Unknown commands fail cleanly.
 if "$CLI" frobnicate 2>/dev/null; then
   echo "expected failure for unknown command" >&2

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "taxitrace/clean/cleaning_pipeline.h"
+#include "taxitrace/core/study_config.h"
 #include "taxitrace/odselect/od_gate.h"
 #include "taxitrace/odselect/transition_extractor.h"
 #include "taxitrace/odselect/transition_filter.h"
+#include "taxitrace/synth/fleet_simulator.h"
+#include "taxitrace/synth/pedestrian_model.h"
 
 namespace taxitrace {
 namespace odselect {
@@ -97,6 +103,48 @@ TEST(OdGateTest, ZeroLengthMovementIgnored) {
   const OdGate gate = NorthGate();
   EXPECT_EQ(gate.Classify(EnPoint{0, 0}, EnPoint{0, 0}),
             OdGate::Crossing::kNone);
+}
+
+// Narrowing a gate only removes crossings: every movement of the small
+// study's cleaned segments that a 4 m half-width gate classifies as a
+// crossing gets the same classification from the default 60 m gate
+// over the same road. This is the layer where gate-width monotonicity
+// holds exactly; downstream, crossings merge and direction labels
+// change, so end-to-end transition counts are not monotone.
+TEST(OdGateTest, NarrowGateCrossingsAreWideGateCrossings) {
+  const core::StudyConfig config = core::StudyConfig::SmallStudy();
+  const synth::CityMap map = synth::GenerateCityMap(config.map).value();
+  const synth::WeatherModel weather(config.weather_seed,
+                                    config.fleet.num_days);
+  const synth::PedestrianModel pedestrians(
+      config.fleet.seed + 17, map.hotspots, config.fleet.num_days);
+  const synth::FleetSimulator fleet(&map, &weather, config.fleet,
+                                    &pedestrians);
+  const trace::TraceStore store = fleet.Run().value().store;
+  const std::vector<trace::Trip> segments =
+      clean::CleanTrips(store, config.cleaning).value();
+  ASSERT_FALSE(segments.empty());
+
+  OdGateOptions narrow_options = config.gate;
+  narrow_options.half_width_m = 4.0;
+  const geo::LocalProjection& proj = map.network.projection();
+  int64_t narrow_crossings = 0;
+  for (const synth::GateRoad& road : map.gates) {
+    const OdGate narrow(road.name, road.geometry, narrow_options);
+    const OdGate wide(road.name, road.geometry, config.gate);
+    for (const trace::Trip& segment : segments) {
+      for (size_t i = 0; i + 1 < segment.points.size(); ++i) {
+        const EnPoint a = proj.Forward(segment.points[i].position);
+        const EnPoint b = proj.Forward(segment.points[i + 1].position);
+        const OdGate::Crossing crossing = narrow.Classify(a, b);
+        if (crossing == OdGate::Crossing::kNone) continue;
+        ++narrow_crossings;
+        EXPECT_EQ(wide.Classify(a, b), crossing)
+            << road.name << ", trip " << segment.trip_id << ", step " << i;
+      }
+    }
+  }
+  EXPECT_GT(narrow_crossings, 0);
 }
 
 TEST(OdGateTest, DistanceToRoad) {

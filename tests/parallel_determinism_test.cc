@@ -375,10 +375,8 @@ TEST(ParallelDeterminismTest, ReplayStatsAndDigestIdenticalAcrossWorkers) {
 
 TEST(ParallelDeterminismTest, ThreadCountsAreRecorded) {
   const core::StudyResults results = RunWithThreads(2);
-  EXPECT_EQ(results.timings.simulation_threads, 2);
-  EXPECT_EQ(results.timings.cleaning_threads, 2);
-  EXPECT_EQ(results.timings.selection_matching_threads, 2);
-  EXPECT_EQ(SerialReference().timings.simulation_threads, 0);
+  EXPECT_EQ(results.timings.threads, 2);
+  EXPECT_EQ(SerialReference().timings.threads, 0);
 }
 
 }  // namespace

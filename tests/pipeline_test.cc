@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -9,6 +10,7 @@
 #include "taxitrace/core/figures.h"
 #include "taxitrace/core/pipeline.h"
 #include "taxitrace/core/reports.h"
+#include "taxitrace/stream/ingest_session.h"
 
 namespace taxitrace {
 namespace core {
@@ -141,6 +143,47 @@ TEST(PipelineTest, RecordsViewMatchesTransitions) {
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].trip_id, r.transitions[i].record.trip_id);
   }
+}
+
+// Ingest options are checked before any work: a value outside
+// [0, kMaxReorderLag] is an InvalidArgument, never an abort inside a
+// pool worker or an oversized allocation.
+Status RunWithIngest(int64_t reorder_lag, int64_t shuffle_window) {
+  StudyConfig config = StudyConfig::SmallStudy();
+  config.stream_ingestion = true;
+  config.ingest.reorder_lag = reorder_lag;
+  config.ingest.arrival_shuffle_window = shuffle_window;
+  return Pipeline(config).Run().status();
+}
+
+TEST(PipelineTest, RejectsNegativeReorderLag) {
+  EXPECT_TRUE(RunWithIngest(-1, 0).IsInvalidArgument());
+}
+
+TEST(PipelineTest, RejectsOverLimitReorderLag) {
+  EXPECT_TRUE(
+      RunWithIngest(stream::kMaxReorderLag + 1, 0).IsInvalidArgument());
+  EXPECT_TRUE(RunWithIngest(INT64_MAX, 0).IsInvalidArgument());
+}
+
+TEST(PipelineTest, RejectsNegativeShuffleWindow) {
+  EXPECT_TRUE(RunWithIngest(64, -1).IsInvalidArgument());
+}
+
+TEST(PipelineTest, RejectsOverLimitShuffleWindow) {
+  EXPECT_TRUE(
+      RunWithIngest(64, stream::kMaxReorderLag + 1).IsInvalidArgument());
+  EXPECT_TRUE(RunWithIngest(64, INT64_MAX).IsInvalidArgument());
+}
+
+TEST(PipelineTest, IngestOptionsValidAtTheLimits) {
+  stream::IngestOptions options;
+  options.reorder_lag = 0;
+  options.arrival_shuffle_window = 0;
+  EXPECT_TRUE(stream::ValidateIngestOptions(options).ok());
+  options.reorder_lag = stream::kMaxReorderLag;
+  options.arrival_shuffle_window = stream::kMaxReorderLag;
+  EXPECT_TRUE(stream::ValidateIngestOptions(options).ok());
 }
 
 // --- Reports -------------------------------------------------------------------

@@ -121,8 +121,7 @@ void CheckVolumeAndTimings() {
   EXPECT_LT(FullResults().total_point_speeds, 120000);
   const StageTimings& t = FullResults().timings;
   EXPECT_GT(t.simulation_ms, 0.0);
-  EXPECT_GT(t.cleaning_ms, 0.0);
-  EXPECT_GT(t.selection_matching_ms, 0.0);
+  EXPECT_GT(t.clean_match_ms, 0.0);
   EXPECT_GT(t.analysis_ms, 0.0);
   EXPECT_GT(t.TotalMs(), t.simulation_ms);
 }
