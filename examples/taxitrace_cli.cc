@@ -12,8 +12,7 @@
 //   taxitrace_cli study [--metrics-json <out.json>] [--stream-ingest]
 //                 [--ingest-lag <slots>] [--ingest-shuffle <slots>]
 //                 [cars] [days]
-//   taxitrace_cli serve [--bench] [--queries <n>] [--full]
-//                 [--bench-json <out.json>] [cars] [days]
+//   taxitrace_cli serve [cars] [days]
 //
 // `study` runs the end-to-end synthetic study (SmallStudy scale unless
 // cars/days are given) with observability enabled and prints the stage
@@ -28,18 +27,20 @@
 //
 // `serve` runs a study, freezes it into a taxitrace-snapshot/1 buffer,
 // and answers demonstration point/bbox/scenario-slice queries over it.
-// --bench replays a hot-cell Zipf workload (1M queries unless
-// --queries overrides it) through the executor and writes QPS and
-// latency percentiles to BENCH_serve.json (--full benches the
-// paper-scale study; TAXITRACE_BENCH_SMOKE=1 tags the JSON so smoke
-// runs never pass for full numbers).
+// The timed query replay over that snapshot is the benchmark of
+// record's `serve_replay` workload (perfbench/).
+//
+// For `study` and `serve`, cars and days must be positive integers; an
+// unknown flag, a third positional argument or a bad count prints an
+// `error:` line and exits 2.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "taxitrace/analysis/grid.h"
 #include "taxitrace/analysis/od_matrix.h"
@@ -56,7 +57,6 @@
 #include "taxitrace/model/significance.h"
 #include "taxitrace/roadnet/map_io.h"
 #include "taxitrace/serve/query_engine.h"
-#include "taxitrace/serve/replay.h"
 #include "taxitrace/serve/snapshot.h"
 #include "taxitrace/stream/ingest_session.h"
 #include "taxitrace/synth/city_map_generator.h"
@@ -271,12 +271,43 @@ bool ParseFlag(const char* flag, const char* text, int64_t* value) {
   return true;
 }
 
+// Reads the `[cars] [days]` positionals of `study` and `serve` into
+// `fleet`, where `rest` holds every argument the command's own flag
+// loop did not consume. Rejects an unknown flag, a third positional and
+// a count that is not a positive integer; on failure prints why and
+// returns false (the caller exits 2).
+bool ParseFleetSize(const std::vector<const char*>& rest,
+                    synth::FleetOptions* fleet) {
+  int* const counts[] = {&fleet->num_cars, &fleet->num_days};
+  const char* const names[] = {"cars", "days"};
+  size_t next = 0;
+  for (const char* arg : rest) {
+    if (std::strncmp(arg, "--", 2) == 0) {
+      std::fprintf(stderr, "error: unknown flag %s\n", arg);
+      return false;
+    }
+    if (next == 2) {
+      std::fprintf(stderr, "error: unexpected argument %s\n", arg);
+      return false;
+    }
+    int64_t value = 0;
+    if (!ParseFlag(names[next], arg, &value)) return false;
+    if (value <= 0 || value > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "error: %s: must be a positive integer, got %s\n",
+                   names[next], arg);
+      return false;
+    }
+    *counts[next++] = static_cast<int>(value);
+  }
+  return true;
+}
+
 int Study(int argc, char** argv) {
   const char* metrics_path = nullptr;
   core::StudyConfig config = core::StudyConfig::SmallStudy();
   config.observability.enabled = true;
   stream::IngestOptions& ingest = config.ingest;
-  std::vector<const char*> positional;
+  std::vector<const char*> rest;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics-json") == 0) {
       if (i + 1 >= argc) return 2;
@@ -294,20 +325,15 @@ int Study(int argc, char** argv) {
       }
       ++i;
     } else {
-      positional.push_back(argv[i]);
+      rest.push_back(argv[i]);
     }
   }
+  if (!ParseFleetSize(rest, &config.fleet)) return 2;
   const Status ingest_ok = stream::ValidateIngestOptions(ingest);
   if (!ingest_ok.ok()) {
     std::fprintf(stderr, "error: %s\n", ingest_ok.ToString().c_str());
     return 2;
   }
-  if (!positional.empty()) config.fleet.num_cars = std::atoi(positional[0]);
-  if (positional.size() > 1) {
-    config.fleet.num_days = std::atoi(positional[1]);
-  }
-  if (config.fleet.num_cars <= 0 || config.fleet.num_days <= 0) return 2;
-
   const core::Pipeline pipeline(config);
   const Result<core::StudyResults> results = pipeline.Run();
   if (!results.ok()) return Fail(results.status());
@@ -348,64 +374,28 @@ int Study(int argc, char** argv) {
 }
 
 int Serve(int argc, char** argv) {
-  bool bench = false;
-  bool full = false;
-  int64_t queries = 1'000'000;
-  const char* bench_json = "BENCH_serve.json";
-  std::vector<const char*> positional;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench") == 0) {
-      bench = true;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (std::strcmp(argv[i], "--queries") == 0) {
-      if (i + 1 >= argc) return 2;
-      queries = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--bench-json") == 0) {
-      if (i + 1 >= argc) return 2;
-      bench_json = argv[++i];
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  core::StudyConfig config = full ? core::StudyConfig::FullStudy()
-                                  : core::StudyConfig::SmallStudy();
-  if (!positional.empty()) config.fleet.num_cars = std::atoi(positional[0]);
-  if (positional.size() > 1) {
-    config.fleet.num_days = std::atoi(positional[1]);
-  }
-  if (config.fleet.num_cars <= 0 || config.fleet.num_days <= 0 ||
-      queries <= 0) {
-    return 2;
-  }
-  const char* smoke_env = std::getenv("TAXITRACE_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  core::StudyConfig config = core::StudyConfig::SmallStudy();
+  const std::vector<const char*> rest(argv + 2, argv + argc);
+  if (!ParseFleetSize(rest, &config.fleet)) return 2;
 
   const core::Pipeline pipeline(config);
   const Result<core::StudyResults> results = pipeline.Run();
   if (!results.ok()) return Fail(results.status());
 
   const Executor executor(Executor::ResolveThreadCount(config.num_threads));
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point build_begin = Clock::now();
   const Result<std::string> bytes =
       serve::SnapshotBuilder().Build(*results, &executor);
   if (!bytes.ok()) return Fail(bytes.status());
-  const double build_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - build_begin)
-          .count();
   const Result<serve::Snapshot> snapshot = serve::Snapshot::FromBytes(*bytes);
   if (!snapshot.ok()) return Fail(snapshot.status());
   const serve::SnapshotMeta& meta = snapshot->meta();
   std::printf(
       "serve: %d cars x %d days -> taxitrace-snapshot/1, %zu bytes\n"
-      "  %lld cells in [%d,%d]x[%d,%d], %lld slices, %lld points, "
-      "built in %.1f ms\n\n",
+      "  %lld cells in [%d,%d]x[%d,%d], %lld slices, %lld points\n\n",
       config.fleet.num_cars, config.fleet.num_days, snapshot->bytes().size(),
       static_cast<long long>(meta.num_cells), meta.min_cx, meta.max_cx,
       meta.min_cy, meta.max_cy, static_cast<long long>(meta.num_slices),
-      static_cast<long long>(meta.total_points), build_ms);
+      static_cast<long long>(meta.total_points));
 
   // Demonstration queries: the busiest cell as a point lookup, its
   // weekend slice, and a 3x3 bbox around it.
@@ -453,79 +443,6 @@ int Serve(int argc, char** argv) {
                   box_stats.size(), static_cast<long long>(box_n));
     }
   }
-  if (!bench) return 0;
-
-  serve::WorkloadOptions workload;
-  workload.num_queries = queries;
-  obs::MetricsRegistry metrics;
-  obs::FunnelLedger funnel;
-  const Result<serve::ReplayResult> replay = serve::ReplayWorkload(
-      *snapshot, workload, &executor, &metrics, &funnel);
-  if (!replay.ok()) return Fail(replay.status());
-  std::printf("%s\n", funnel.Table().c_str());
-  std::printf(
-      "replay: %lld queries (%d workers), %.1f ms wall -> %.0f qps\n"
-      "  latency p50/p90/p99/max = %.2f/%.2f/%.2f/%.2f us, "
-      "digest 0x%016llx\n",
-      static_cast<long long>(replay->num_queries), executor.num_threads(),
-      replay->wall_ms, replay->qps, replay->p50_us, replay->p90_us,
-      replay->p99_us, replay->max_us,
-      static_cast<unsigned long long>(replay->digest));
-
-  std::string json;
-  char line[512];
-  json += "{\n";
-  json += "  \"schema\": \"taxitrace-bench-serve/1\",\n";
-  std::snprintf(line, sizeof line, "  \"smoke\": %s,\n",
-                smoke ? "true" : "false");
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"study\": {\"cars\": %d, \"days\": %d},\n",
-                config.fleet.num_cars, config.fleet.num_days);
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"snapshot\": {\"bytes\": %zu, \"cells\": %lld, "
-                "\"slices\": %lld, \"build_ms\": %.2f},\n",
-                snapshot->bytes().size(),
-                static_cast<long long>(meta.num_cells),
-                static_cast<long long>(meta.num_slices), build_ms);
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"workload\": {\"queries\": %lld, \"zipf_exponent\": %.2f,\n"
-      "    \"point_share\": %.2f, \"bbox_share\": %.2f, "
-      "\"slice_share\": %.2f, \"shards\": %d},\n",
-      static_cast<long long>(workload.num_queries), workload.zipf_exponent,
-      workload.point_share, workload.bbox_share, workload.slice_share,
-      workload.num_shards);
-  json += line;
-  std::snprintf(
-      line, sizeof line,
-      "  \"funnel\": {\"offered\": %lld, \"answered\": %lld,\n"
-      "    \"out_of_bounds\": %lld, \"empty_cell\": %lld},\n",
-      static_cast<long long>(replay->stats.offered),
-      static_cast<long long>(replay->stats.answered),
-      static_cast<long long>(replay->stats.out_of_bounds),
-      static_cast<long long>(replay->stats.empty_cell));
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"latency_us\": {\"p50\": %.2f, \"p90\": %.2f, "
-                "\"p99\": %.2f, \"max\": %.2f},\n",
-                replay->p50_us, replay->p90_us, replay->p99_us,
-                replay->max_us);
-  json += line;
-  std::snprintf(line, sizeof line,
-                "  \"throughput\": {\"wall_ms\": %.2f, \"qps\": %.0f, "
-                "\"workers\": %d},\n",
-                replay->wall_ms, replay->qps, executor.num_threads());
-  json += line;
-  std::snprintf(line, sizeof line, "  \"digest\": \"0x%016llx\"\n",
-                static_cast<unsigned long long>(replay->digest));
-  json += line;
-  json += "}\n";
-  const Status st = core::WriteTextFile(bench_json, json);
-  if (!st.ok()) return Fail(st);
-  std::printf("bench data -> %s\n", bench_json);
   return 0;
 }
 

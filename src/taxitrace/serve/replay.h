@@ -1,5 +1,6 @@
-// Synthetic query replay against a Snapshot: the serve layer's bench
-// and proof harness in one.
+// Synthetic query replay against a Snapshot: the serve layer's load
+// generator (the workload behind the benchmark of record's
+// `serve_replay`, perfbench/) and proof harness in one.
 //
 // The workload is a hot-cell Zipf mix over the observed cells (rank by
 // point count, weight 1/rank^s) of point, bbox, scenario-slice, and

@@ -69,8 +69,9 @@ struct FleetResult {
 /// Counters from a streaming simulation run. The drive and trip/point
 /// totals are deterministic in the seed; `peak_buffered_shards` is the
 /// reorder buffer's high-water mark — the only simulation state that
-/// scales with parallelism rather than with one shard, and the number
-/// the bounded-memory benchmark reports.
+/// scales with parallelism rather than with one shard, which
+/// `FleetSimulatorTest.EmptyShardsStillAdvanceStreamingReleaseOrder`
+/// bounds by the shard count.
 struct FleetRunStats {
   int64_t num_customer_drives = 0;
   int64_t num_reposition_drives = 0;

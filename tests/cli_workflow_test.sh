@@ -47,6 +47,25 @@ for bad in "--ingest-lag abc" "--ingest-lag 9223372036854775000"; do
   fi
 done
 
+# `serve` freezes a study into a snapshot and queries it.
+"$CLI" serve 1 2 | grep -q "taxitrace-snapshot/1"
+
+# Unknown flags, a misspelt flag and a count that is not a positive
+# integer exit 2 with a message instead of being read as a count or
+# skipped.
+for bad in "serve --bench 1 2" "study 1 2 --metric-json x.json" \
+           "study 1x 2"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a command and its arguments
+  "$CLI" $bad > /dev/null 2> err.txt || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q "^error: " err.txt; then
+    echo "expected exit 2 with a message for '$bad', got $rc" >&2
+    cat err.txt >&2
+    exit 1
+  fi
+done
+test ! -e x.json
+
 # Unknown commands fail cleanly.
 if "$CLI" frobnicate 2>/dev/null; then
   echo "expected failure for unknown command" >&2

@@ -615,12 +615,20 @@ TEST(FleetSimulatorTest, EmptyShardsStillAdvanceStreamingReleaseOrder) {
   ASSERT_LT(serial_stats->trips_simulated,
             static_cast<int64_t>(options.num_cars) * options.num_days);
   ASSERT_GT(serial_stats->trips_simulated, 0);
+  // A serial run finishes each shard before starting the next, so the
+  // reorder buffer never holds more than the one shard in hand.
+  EXPECT_EQ(serial_stats->peak_buffered_shards, 1);
 
   const Executor parallel(8);
   CollectSink parallel_sink;
   const auto parallel_stats = fleet.Run(&parallel, &parallel_sink);
   ASSERT_TRUE(parallel_stats.ok()) << parallel_stats.status().ToString();
 
+  // Workers may finish out of order, but the buffer is bounded by the
+  // number of (car, day) shards.
+  EXPECT_GE(parallel_stats->peak_buffered_shards, 1);
+  EXPECT_LE(parallel_stats->peak_buffered_shards,
+            static_cast<int64_t>(options.num_cars) * options.num_days);
   EXPECT_EQ(parallel_stats->trips_simulated, serial_stats->trips_simulated);
   EXPECT_EQ(parallel_stats->points_simulated, serial_stats->points_simulated);
   ASSERT_EQ(parallel_sink.trips.size(), serial_sink.trips.size());
