@@ -1,5 +1,6 @@
 #include "taxitrace/roadnet/map_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -19,15 +20,30 @@ std::string EncodeGeometry(const geo::Polyline& line) {
   return out;
 }
 
-Result<geo::Polyline> DecodeGeometry(const std::string& text) {
+// A numeric map field. strtod accepts "nan" and "inf", which would
+// poison every distance, bound and cell computed from the map, so
+// non-finite values are rejected here, naming the row and field.
+Result<double> ParseFinite(const std::string& text, size_t row,
+                           const char* field) {
+  TAXITRACE_ASSIGN_OR_RETURN(const double v, ParseDouble(text));
+  if (!std::isfinite(v)) {
+    return Status::Corruption(StrFormat("row %zu, column %s: not finite: %s",
+                                        row, field, text.c_str()));
+  }
+  return v;
+}
+
+Result<geo::Polyline> DecodeGeometry(const std::string& text, size_t row) {
   std::vector<geo::EnPoint> pts;
   for (const std::string& pair : Split(text, '|')) {
     const std::vector<std::string> xy = Split(pair, ':');
     if (xy.size() != 2) {
       return Status::Corruption("bad geometry vertex: " + pair);
     }
-    TAXITRACE_ASSIGN_OR_RETURN(const double x, ParseDouble(xy[0]));
-    TAXITRACE_ASSIGN_OR_RETURN(const double y, ParseDouble(xy[1]));
+    TAXITRACE_ASSIGN_OR_RETURN(const double x,
+                               ParseFinite(xy[0], row, "geometry"));
+    TAXITRACE_ASSIGN_OR_RETURN(const double y,
+                               ParseFinite(xy[1], row, "geometry"));
     pts.push_back(geo::EnPoint{x, y});
   }
   return geo::Polyline(std::move(pts));
@@ -97,10 +113,10 @@ Result<std::vector<TrafficElement>> ElementsFromCsv(
       return Status::Corruption("functional class out of range");
     }
     el.functional_class = static_cast<FunctionalClass>(cls);
-    TAXITRACE_ASSIGN_OR_RETURN(el.speed_limit_kmh,
-                               ParseDouble(rows[r][3]));
+    TAXITRACE_ASSIGN_OR_RETURN(
+        el.speed_limit_kmh, ParseFinite(rows[r][3], r, "speed_limit_kmh"));
     TAXITRACE_ASSIGN_OR_RETURN(el.direction, ParseDirection(rows[r][4]));
-    TAXITRACE_ASSIGN_OR_RETURN(el.geometry, DecodeGeometry(rows[r][5]));
+    TAXITRACE_ASSIGN_OR_RETURN(el.geometry, DecodeGeometry(rows[r][5], r));
     out.push_back(std::move(el));
   }
   return out;
@@ -127,8 +143,8 @@ Result<std::vector<FeatureSpec>> FeaturesFromCsv(const std::string& text) {
   for (size_t r = 1; r < rows.size(); ++r) {
     FeatureSpec f;
     TAXITRACE_ASSIGN_OR_RETURN(f.type, ParseFeatureType(rows[r][0]));
-    TAXITRACE_ASSIGN_OR_RETURN(f.position.x, ParseDouble(rows[r][1]));
-    TAXITRACE_ASSIGN_OR_RETURN(f.position.y, ParseDouble(rows[r][2]));
+    TAXITRACE_ASSIGN_OR_RETURN(f.position.x, ParseFinite(rows[r][1], r, "x"));
+    TAXITRACE_ASSIGN_OR_RETURN(f.position.y, ParseFinite(rows[r][2], r, "y"));
     out.push_back(f);
   }
   return out;

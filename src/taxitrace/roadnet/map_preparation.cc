@@ -33,6 +33,11 @@ PointKey Quantize(const geo::EnPoint& p, double snap) {
                   static_cast<int64_t>(std::llround(p.y / snap))};
 }
 
+// False for a point beyond kMaxDistanceFromOriginM or non-finite.
+bool WithinMapRange(const geo::EnPoint& p) {
+  return std::hypot(p.x, p.y) <= kMaxDistanceFromOriginM;
+}
+
 // One end of one element.
 struct ElementEnd {
   size_t element_index;
@@ -50,6 +55,14 @@ Result<RoadNetwork> PrepareRoadNetwork(
   }
   std::unordered_set<ElementId> seen_ids;
   for (const TrafficElement& el : elements) {
+    for (const geo::EnPoint& p : el.geometry.points()) {
+      if (!WithinMapRange(p)) {
+        return Status::InvalidArgument(StrFormat(
+            "element %lld has a vertex (%g, %g) beyond %.0f m of the origin",
+            static_cast<long long>(el.id), p.x, p.y,
+            kMaxDistanceFromOriginM));
+      }
+    }
     if (el.geometry.size() < 2) {
       return Status::InvalidArgument(
           StrFormat("element %lld has degenerate geometry",
@@ -64,6 +77,14 @@ Result<RoadNetwork> PrepareRoadNetwork(
       return Status::InvalidArgument(
           StrFormat("duplicate element id %lld",
                     static_cast<long long>(el.id)));
+    }
+  }
+
+  for (const FeatureSpec& f : features) {
+    if (!WithinMapRange(f.position)) {
+      return Status::InvalidArgument(StrFormat(
+          "feature at (%g, %g) lies beyond %.0f m of the origin",
+          f.position.x, f.position.y, kMaxDistanceFromOriginM));
     }
   }
 

@@ -19,6 +19,17 @@
 namespace taxitrace {
 namespace roadnet {
 
+/// Farthest an element vertex or feature may lie from the origin of the
+/// local east/north frame, metres. The frame is equirectangular: its
+/// east scale is fixed at the origin's latitude, so east-west distances
+/// drift by about tan(lat0) * dy / R. At the paper's 65 deg N that is
+/// ~3% 100 km north of the origin, already far coarser than GPS noise,
+/// while the study city or a MetroPreset(3) map (~44 km across) fits
+/// with room to spare. The bound also keeps every 50 m index cell
+/// coordinate far inside int32 and caps the flat index grid a single
+/// stray coordinate can inflate.
+inline constexpr double kMaxDistanceFromOriginM = 100'000.0;
+
 /// A feature to place on the prepared map.
 struct FeatureSpec {
   FeatureType type;
@@ -63,7 +74,8 @@ struct MapPreparationStats {
 
 /// Builds the road-network graph from traffic elements and attaches the
 /// given features. Fails on empty input, elements with degenerate
-/// geometry, or duplicate element ids.
+/// geometry, duplicate element ids, or an element vertex or feature
+/// farther than kMaxDistanceFromOriginM from the origin.
 Result<RoadNetwork> PrepareRoadNetwork(
     const std::vector<TrafficElement>& elements,
     const std::vector<FeatureSpec>& features, const geo::LatLon& origin,

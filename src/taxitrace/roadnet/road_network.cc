@@ -59,21 +59,21 @@ TileIndex RoadNetwork::TileAt(const geo::EnPoint& p) const {
 
 size_t RoadNetwork::VertexOrdinal(VertexId id) const {
   TT_DCHECK(HasVertex(id));
-  if (ordinals_stale()) RebuildOrdinalBases();
+  if (vertex_bases_stale()) RebuildVertexBases();
   return vertex_base_[static_cast<size_t>(TileIndexOf(id))] +
          static_cast<size_t>(LocalIdOf(id));
 }
 
 size_t RoadNetwork::EdgeOrdinal(EdgeId id) const {
   TT_DCHECK(HasEdge(id));
-  if (ordinals_stale()) RebuildOrdinalBases();
+  if (edge_bases_stale()) RebuildEdgeBases();
   return edge_base_[static_cast<size_t>(TileIndexOf(id))] +
          static_cast<size_t>(LocalIdOf(id));
 }
 
 VertexId RoadNetwork::VertexIdAt(size_t ordinal) const {
   TT_DCHECK(ordinal < num_vertices_);
-  if (ordinals_stale()) RebuildOrdinalBases();
+  if (vertex_bases_stale()) RebuildVertexBases();
   // Largest tile whose base is <= ordinal.
   const auto it = std::upper_bound(vertex_base_.begin(), vertex_base_.end(),
                                    ordinal);
@@ -84,7 +84,7 @@ VertexId RoadNetwork::VertexIdAt(size_t ordinal) const {
 
 EdgeId RoadNetwork::EdgeIdAt(size_t ordinal) const {
   TT_DCHECK(ordinal < num_edges_);
-  if (ordinals_stale()) RebuildOrdinalBases();
+  if (edge_bases_stale()) RebuildEdgeBases();
   const auto it =
       std::upper_bound(edge_base_.begin(), edge_base_.end(), ordinal);
   const auto t = static_cast<size_t>(it - edge_base_.begin()) - 1;
@@ -102,18 +102,23 @@ void RoadNetwork::WarmAdjacency() const {
   if (adjacency_stale()) RebuildAdjacency();
 }
 
-void RoadNetwork::RebuildOrdinalBases() const {
-  ordinal_vertex_count_ = num_vertices_;
-  ordinal_edge_count_ = num_edges_;
+void RoadNetwork::RebuildVertexBases() const {
+  vertex_base_count_ = num_vertices_;
   vertex_base_.assign(tiles_.size(), 0);
-  edge_base_.assign(tiles_.size(), 0);
-  size_t vsum = 0;
-  size_t esum = 0;
+  size_t sum = 0;
   for (size_t t = 0; t < tiles_.size(); ++t) {
-    vertex_base_[t] = vsum;
-    edge_base_[t] = esum;
-    vsum += tiles_[t].vertices.size();
-    esum += tiles_[t].edges.size();
+    vertex_base_[t] = sum;
+    sum += tiles_[t].vertices.size();
+  }
+}
+
+void RoadNetwork::RebuildEdgeBases() const {
+  edge_base_count_ = num_edges_;
+  edge_base_.assign(tiles_.size(), 0);
+  size_t sum = 0;
+  for (size_t t = 0; t < tiles_.size(); ++t) {
+    edge_base_[t] = sum;
+    sum += tiles_[t].edges.size();
   }
 }
 
@@ -150,7 +155,8 @@ void RoadNetwork::RebuildAdjacency() const {
       }
     }
   }
-  RebuildOrdinalBases();
+  RebuildVertexBases();
+  RebuildEdgeBases();
   csr_vertex_count_ = num_vertices_;
   csr_edge_count_ = num_edges_;
 }

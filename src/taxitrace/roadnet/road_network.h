@@ -283,17 +283,22 @@ class RoadNetwork {
 
  private:
   void RebuildAdjacency() const;
-  void RebuildOrdinalBases() const;
+  void RebuildVertexBases() const;
+  void RebuildEdgeBases() const;
   [[nodiscard]] bool adjacency_stale() const {
     return csr_vertex_count_ != num_vertices_ ||
            csr_edge_count_ != num_edges_;
   }
-  // Ordinal bases go stale with the CSR but rebuild in O(tiles), so
-  // builder code may interleave mutations with ordinal lookups without
-  // paying a full adjacency rebuild each time.
-  [[nodiscard]] bool ordinals_stale() const {
-    return ordinal_vertex_count_ != num_vertices_ ||
-           ordinal_edge_count_ != num_edges_;
+  // Each ordinal table goes stale only with its own count and rebuilds
+  // in O(tiles), so builder code may interleave AddEdge with vertex
+  // ordinal lookups (GenerateMetroMap's repair loop) without rebuilding
+  // anything. A new tile only ever arrives with a vertex and is
+  // appended last, so a stale-length edge table still maps every edge.
+  [[nodiscard]] bool vertex_bases_stale() const {
+    return vertex_base_count_ != num_vertices_;
+  }
+  [[nodiscard]] bool edge_bases_stale() const {
+    return edge_base_count_ != num_edges_;
   }
   /// Dense index of the tile containing `position`, creating it if new.
   TileIndex TileForPosition(const geo::EnPoint& position);
@@ -310,14 +315,13 @@ class RoadNetwork {
   size_t num_vertices_ = 0;
   size_t num_edges_ = 0;
 
-  // Cumulative vertex/edge counts per tile for the ordinal mapping,
-  // rebuilt alongside the CSR (same staleness check).
+  // Cumulative vertex/edge counts per tile for the ordinal mapping.
   mutable std::vector<size_t> vertex_base_;
   mutable std::vector<size_t> edge_base_;
   mutable size_t csr_vertex_count_ = 0;  ///< num_vertices_ at last build
   mutable size_t csr_edge_count_ = 0;    ///< num_edges_ at last build
-  mutable size_t ordinal_vertex_count_ = 0;  ///< at last ordinal rebuild
-  mutable size_t ordinal_edge_count_ = 0;    ///< at last ordinal rebuild
+  mutable size_t vertex_base_count_ = 0;  ///< num_vertices_ at last rebuild
+  mutable size_t edge_base_count_ = 0;    ///< num_edges_ at last rebuild
 };
 
 inline std::span<const HalfEdge> RoadNetwork::OutArcs(VertexId v) const {

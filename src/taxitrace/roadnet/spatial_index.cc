@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace taxitrace {
 namespace roadnet {
@@ -18,14 +17,21 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
       tile_size_m_(network->tiling().tile_size_m),
       scratch_(std::make_shared<WorkerLocal<QueryScratch>>()),
       query_stats_(std::make_shared<AtomicStats>()) {
-  // Queries translate edge ids to ordinals; warm the mapping (and the
-  // CSR it shares staleness with) on the constructing thread.
+  // Queries translate edge ids to ordinals. Warming the adjacency also
+  // rebuilds both ordinal tables, so concurrent queries never touch
+  // the network's lazily rebuilt state.
   network_->WarmAdjacency();
 
-  // Build pass: collect each edge's cells into a keyed map first (the
-  // set of cells is sparse and unknown up front), then flatten into the
-  // per-tile dense grids below.
-  std::unordered_map<CellKey, std::vector<EdgeId>, CellKeyHash> cells;
+  // Build pass: one (cell, edge) entry per distinct cell an edge's
+  // geometry crosses, emitted in edge-ordinal order. The entries are
+  // then counting-sorted into the per-tile CSR grids below.
+  struct CellEntry {
+    CellKey key;
+    EdgeId edge;
+    int32_t grid;  ///< Owner tile's slot, then its index into grids_.
+  };
+  std::vector<CellEntry> entries;
+  std::vector<CellKey> edge_cells;  // this edge's cells, for the dedupe
   edge_bounds_.assign(network_->num_edges(), geo::Bbox::Empty());
   size_t next_ordinal = 0;
   network_->ForEachEdge([&](const Edge& e) {
@@ -42,14 +48,15 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
     }
     geo::Bbox& bounds = edge_bounds_[ordinal];
     for (const geo::EnPoint& p : pts) bounds.Extend(p);
-    std::unordered_set<uint64_t> edge_cells;
+    // An edge crosses a handful of cells, so a linear find beats a
+    // per-edge hash set.
+    edge_cells.clear();
     const auto insert_cell = [&](const geo::EnPoint& p) {
       const CellKey key = KeyFor(p);
-      const uint64_t packed =
-          (static_cast<uint64_t>(static_cast<uint32_t>(key.cx)) << 32) |
-          static_cast<uint32_t>(key.cy);
-      if (edge_cells.insert(packed).second) {
-        cells[key].push_back(e.id);
+      if (std::find(edge_cells.begin(), edge_cells.end(), key) ==
+          edge_cells.end()) {
+        edge_cells.push_back(key);
+        entries.push_back(CellEntry{key, e.id, 0});
       }
     };
     if (pts.size() == 1) {
@@ -71,43 +78,48 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
     }
   });
 
-  if (cells.empty()) return;
+  if (entries.empty()) return;
 
-  // Group the occupied cells by owning tile, tracking each tile's cell
-  // extent (hash-map iteration only feeds mins/maxes and counts, so the
-  // result is iteration-order independent).
+  // Each owner tile's cell extent, from the entries. Tiles get slots in
+  // first-seen order; the grids are laid out in (ty, tx) order after.
   struct Extent {
-    int32_t min_cx = 0;
-    int32_t max_cx = 0;
-    int32_t min_cy = 0;
-    int32_t max_cy = 0;
-    bool init = false;
+    TileCoord coord;
+    int32_t slot;
+    int32_t min_cx;
+    int32_t max_cx;
+    int32_t min_cy;
+    int32_t max_cy;
   };
-  std::unordered_map<TileCoord, Extent, TileCoordHash> extents;
-  for (const auto& [key, edge_list] : cells) {
-    Extent& ex = extents[OwnerTileOf(key.cx, key.cy)];
-    if (!ex.init) {
-      ex = Extent{key.cx, key.cx, key.cy, key.cy, true};
+  std::vector<Extent> extents;
+  std::unordered_map<TileCoord, int32_t, TileCoordHash> slot_of;
+  for (CellEntry& en : entries) {
+    const CellKey k = en.key;
+    const TileCoord tile = OwnerTileOf(k.cx, k.cy);
+    const auto slot = static_cast<int32_t>(extents.size());
+    const auto [it, inserted] = slot_of.try_emplace(tile, slot);
+    if (inserted) {
+      extents.push_back(Extent{tile, slot, k.cx, k.cx, k.cy, k.cy});
     } else {
-      ex.min_cx = std::min(ex.min_cx, key.cx);
-      ex.max_cx = std::max(ex.max_cx, key.cx);
-      ex.min_cy = std::min(ex.min_cy, key.cy);
-      ex.max_cy = std::max(ex.max_cy, key.cy);
+      Extent& ex = extents[static_cast<size_t>(it->second)];
+      ex.min_cx = std::min(ex.min_cx, k.cx);
+      ex.max_cx = std::max(ex.max_cx, k.cx);
+      ex.min_cy = std::min(ex.min_cy, k.cy);
+      ex.max_cy = std::max(ex.max_cy, k.cy);
     }
+    en.grid = it->second;
   }
-  std::vector<TileCoord> coords;
-  coords.reserve(extents.size());
-  for (const auto& [coord, ex] : extents) coords.push_back(coord);
-  std::sort(coords.begin(), coords.end(),
-            [](const TileCoord& a, const TileCoord& b) {
-              return a.ty != b.ty ? a.ty < b.ty : a.tx < b.tx;
+  std::sort(extents.begin(), extents.end(),
+            [](const Extent& a, const Extent& b) {
+              return a.coord.ty != b.coord.ty ? a.coord.ty < b.coord.ty
+                                              : a.coord.tx < b.coord.tx;
             });
-
-  grids_.resize(coords.size());
-  for (size_t i = 0; i < coords.size(); ++i) {
-    const Extent& ex = extents.at(coords[i]);
+  std::vector<int32_t> grid_of_slot(extents.size());
+  grids_.resize(extents.size());
+  for (size_t i = 0; i < extents.size(); ++i) {
+    const Extent& ex = extents[i];
+    grid_of_slot[static_cast<size_t>(ex.slot)] = static_cast<int32_t>(i);
     TileGrid& g = grids_[i];
-    g.coord = coords[i];
+    g.coord = ex.coord;
     g.min_cx = ex.min_cx;
     g.min_cy = ex.min_cy;
     g.cols = ex.max_cx - ex.min_cx + 1;
@@ -115,32 +127,35 @@ SpatialIndex::SpatialIndex(const RoadNetwork* network, double cell_size_m)
     const size_t num_cells =
         static_cast<size_t>(g.cols) * static_cast<size_t>(g.rows);
     g.cell_offsets.assign(num_cells + 1, 0);
-    tile_directory_.emplace(coords[i], static_cast<int32_t>(i));
+    tile_directory_.emplace(ex.coord, static_cast<int32_t>(i));
   }
-  for (const auto& [key, edge_list] : cells) {
-    TileGrid& g =
-        grids_[static_cast<size_t>(tile_directory_.at(OwnerTileOf(
-            key.cx, key.cy)))];
-    const size_t i = static_cast<size_t>(key.cy - g.min_cy) *
-                         static_cast<size_t>(g.cols) +
-                     static_cast<size_t>(key.cx - g.min_cx);
-    g.cell_offsets[i + 1] = static_cast<int32_t>(edge_list.size());
+
+  // Counting sort: count per cell, prefix-sum, then fill in entry
+  // order, which keeps every cell's edge list in edge-ordinal order.
+  const auto cell_index = [](const TileGrid& g, const CellKey& k) {
+    return static_cast<size_t>(k.cy - g.min_cy) *
+               static_cast<size_t>(g.cols) +
+           static_cast<size_t>(k.cx - g.min_cx);
+  };
+  for (CellEntry& en : entries) {
+    en.grid = grid_of_slot[static_cast<size_t>(en.grid)];
+    TileGrid& g = grids_[static_cast<size_t>(en.grid)];
+    ++g.cell_offsets[cell_index(g, en.key) + 1];
   }
-  for (TileGrid& g : grids_) {
-    for (size_t i = 1; i < g.cell_offsets.size(); ++i) {
-      g.cell_offsets[i] += g.cell_offsets[i - 1];
+  std::vector<std::vector<int32_t>> next(grids_.size());
+  for (size_t i = 0; i < grids_.size(); ++i) {
+    TileGrid& g = grids_[i];
+    for (size_t c = 1; c < g.cell_offsets.size(); ++c) {
+      g.cell_offsets[c] += g.cell_offsets[c - 1];
     }
     g.cell_edges.resize(static_cast<size_t>(g.cell_offsets.back()));
+    next[i].assign(g.cell_offsets.begin(), g.cell_offsets.end() - 1);
   }
-  for (const auto& [key, edge_list] : cells) {
-    TileGrid& g =
-        grids_[static_cast<size_t>(tile_directory_.at(OwnerTileOf(
-            key.cx, key.cy)))];
-    const size_t i = static_cast<size_t>(key.cy - g.min_cy) *
-                         static_cast<size_t>(g.cols) +
-                     static_cast<size_t>(key.cx - g.min_cx);
-    std::copy(edge_list.begin(), edge_list.end(),
-              g.cell_edges.begin() + g.cell_offsets[i]);
+  for (const CellEntry& en : entries) {
+    const auto gi = static_cast<size_t>(en.grid);
+    TileGrid& g = grids_[gi];
+    int32_t& slot = next[gi][cell_index(g, en.key)];
+    g.cell_edges[static_cast<size_t>(slot++)] = en.edge;
   }
 }
 

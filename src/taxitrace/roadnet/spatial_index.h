@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "taxitrace/common/executor.h"
-#include "taxitrace/common/hash.h"
 #include "taxitrace/roadnet/road_network.h"
 #include "taxitrace/roadnet/tile.h"
 
@@ -84,14 +83,6 @@ class SpatialIndex {
     int32_t cx;
     int32_t cy;
     friend bool operator==(const CellKey&, const CellKey&) = default;
-  };
-  struct CellKeyHash {
-    size_t operator()(const CellKey& k) const {
-      // Shared splitmix64 mix (common/hash.h): the previous ad-hoc
-      // multiply/xor left low-bit column structure that collapsed
-      // buckets at power-of-two table sizes.
-      return static_cast<size_t>(HashCell2D(k.cx, k.cy));
-    }
   };
 
   /// One tile's dense row-major cell grid, flattened CSR-style: cell

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
+#include "taxitrace/common/strings.h"
 #include "taxitrace/roadnet/map_io.h"
 #include "taxitrace/synth/city_map_generator.h"
 
@@ -68,6 +70,62 @@ TEST(MapIoTest, RejectsCorruptInputs) {
           .ok());  // bad geometry
   EXPECT_FALSE(FeaturesFromCsv("type,x\nbus_stop,1\n").ok());
   EXPECT_FALSE(FeaturesFromCsv("type,x,y\nufo,1,2\n").ok());
+}
+
+// Regression: "inf" and "nan" parse as doubles, and a finite but huge
+// coordinate (1e12 m) passed PrepareRoadNetwork, after which the
+// spatial index tried to allocate a grid spanning it and threw
+// std::length_error out of its constructor. Both now stop at the trust
+// boundary with a Status.
+constexpr char kElementsHeader[] =
+    "id,name,functional_class,speed_limit_kmh,direction,geometry\n";
+
+TEST(MapIoTest, NonFiniteNumbersAreCorruption) {
+  for (const char* row : {"1,x,2,50,both,100.000:0.000|inf:0.000\n",
+                          "1,x,2,50,both,100.000:0.000|0.000:nan\n",
+                          "1,x,2,inf,both,0.000:0.000|100.000:0.000\n",
+                          "1,x,2,50,both,100.000:0.000|1e999:0.000\n"}) {
+    const auto parsed = ElementsFromCsv(std::string(kElementsHeader) + row);
+    ASSERT_FALSE(parsed.ok()) << row;
+    EXPECT_TRUE(parsed.status().IsCorruption()) << row;
+    EXPECT_NE(parsed.status().message().find("row 1"), std::string::npos)
+        << parsed.status().message();
+  }
+  const auto features = FeaturesFromCsv("type,x,y\nbus_stop,1,-nan\n");
+  ASSERT_FALSE(features.ok());
+  EXPECT_TRUE(features.status().IsCorruption());
+  EXPECT_NE(features.status().message().find("column y"), std::string::npos)
+      << features.status().message();
+}
+
+TEST(MapIoTest, FarCoordinatesAreRejectedByPreparation) {
+  const geo::LatLon origin{65.0121, 25.4682};
+  const auto far_element =
+      ElementsFromCsv(std::string(kElementsHeader) +
+                      "1,x,2,50,both,100.000:0.000|1e12:0.000\n");
+  ASSERT_TRUE(far_element.ok());  // finite: parsing is not the gate
+  const auto prepared = PrepareRoadNetwork(*far_element, {}, origin);
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_TRUE(prepared.status().IsInvalidArgument());
+
+  const auto near_element =
+      ElementsFromCsv(std::string(kElementsHeader) +
+                      "1,x,2,50,both,100.000:0.000|0.000:0.000\n");
+  ASSERT_TRUE(near_element.ok());
+  const auto far_feature = FeaturesFromCsv("type,x,y\nbus_stop,0,-1e12\n");
+  ASSERT_TRUE(far_feature.ok());
+  const auto with_feature =
+      PrepareRoadNetwork(*near_element, *far_feature, origin);
+  ASSERT_FALSE(with_feature.ok());
+  EXPECT_TRUE(with_feature.status().IsInvalidArgument());
+
+  // Just inside the bound still prepares.
+  const std::string edge = StrFormat(
+      "1,x,2,50,both,%.3f:0.000|%.3f:0.000\n",
+      kMaxDistanceFromOriginM - 100.0, kMaxDistanceFromOriginM);
+  const auto at_bound = ElementsFromCsv(std::string(kElementsHeader) + edge);
+  ASSERT_TRUE(at_bound.ok());
+  EXPECT_TRUE(PrepareRoadNetwork(*at_bound, {}, origin).ok());
 }
 
 TEST(MapIoTest, GeneratedCityRoundTripsThroughFiles) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "taxitrace/common/random.h"
 #include "taxitrace/roadnet/map_preparation.h"
 #include "taxitrace/roadnet/road_network.h"
 #include "taxitrace/roadnet/router.h"
 #include "taxitrace/roadnet/spatial_index.h"
+#include "taxitrace/synth/metro_map_generator.h"
 
 namespace taxitrace {
 namespace roadnet {
@@ -361,6 +365,88 @@ TEST(SpatialIndexDegenerateTest, EmptyGeometryIsDroppedWithReason) {
       index.Nearby(EnPoint{50, 2}, 10.0);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].edge, normal_id);
+}
+
+// Equivalence at metro scale: ~2,000 seeded probes over MetroPreset(1),
+// each answered by Nearby and by a scan over every edge. The scan's
+// bounding-box reject keeps a 1 m margin, so it never drops an edge
+// the projection would keep.
+struct MetroProbeTotals {
+  SpatialIndexStats stats;
+  size_t memory_bytes = 0;
+};
+
+void ProbeMetroIndex(double tile_size_m, MetroProbeTotals* totals) {
+  synth::MetroMapOptions opt = synth::MetroPreset(1);
+  opt.tiling.tile_size_m = tile_size_m;
+  const synth::MetroMap map = synth::GenerateMetroMap(opt).value();
+  const RoadNetwork& net = map.network;
+  const SpatialIndex index(&net);
+  std::vector<const Edge*> edges;
+  std::vector<geo::Bbox> bounds;
+  net.ForEachEdge([&](const Edge& e) {
+    edges.push_back(&e);
+    bounds.push_back(e.geometry.Bounds());
+  });
+  const geo::Bbox box = net.Bounds().Inflated(300.0);
+  Rng rng(20261017);
+  for (int i = 0; i < 2000; ++i) {
+    const EnPoint p{rng.Uniform(box.min_x, box.max_x),
+                    rng.Uniform(box.min_y, box.max_y)};
+    const double r = rng.Uniform(0.0, 250.0);
+    std::vector<EdgeCandidate> expect;
+    for (size_t k = 0; k < edges.size(); ++k) {
+      const geo::Bbox& b = bounds[k];
+      const double dx = std::max({b.min_x - p.x, 0.0, p.x - b.max_x});
+      const double dy = std::max({b.min_y - p.y, 0.0, p.y - b.max_y});
+      if (dx * dx + dy * dy > (r + 1.0) * (r + 1.0)) continue;
+      const geo::PolylineProjection proj = edges[k]->geometry.Project(p);
+      if (proj.distance <= r) expect.push_back({edges[k]->id, proj});
+    }
+    std::sort(expect.begin(), expect.end(),
+              [](const EdgeCandidate& a, const EdgeCandidate& b) {
+                if (a.projection.distance != b.projection.distance) {
+                  return a.projection.distance < b.projection.distance;
+                }
+                return a.edge < b.edge;
+              });
+    const std::vector<EdgeCandidate> got = index.Nearby(p, r);
+    ASSERT_EQ(got.size(), expect.size()) << "probe " << i;
+    for (size_t j = 0; j < got.size(); ++j) {
+      ASSERT_EQ(got[j].edge, expect[j].edge) << "probe " << i;
+      ASSERT_EQ(got[j].projection.distance, expect[j].projection.distance)
+          << "probe " << i;
+    }
+  }
+  totals->stats = index.stats();
+  totals->memory_bytes = index.ApproxMemoryBytes();
+}
+
+// The constants below were captured from the hash-map index build that
+// the counting-sort build replaced, on the same probes (gcc 12,
+// libstdc++, x86-64). The stats pin the candidate and hit sets cell by
+// cell; ApproxMemoryBytes counts every cell_edges entry, so a
+// duplicated or missing cell entry changes it.
+TEST(SpatialIndexMetroTest, TiledMatchesScanAndPinnedTotals) {
+  MetroProbeTotals t;
+  ASSERT_NO_FATAL_FAILURE(ProbeMetroIndex(2000.0, &t));
+  EXPECT_EQ(t.stats.queries, 2000);
+  EXPECT_EQ(t.stats.cells_probed, 175128);
+  EXPECT_EQ(t.stats.tiles_probed, 2819);
+  EXPECT_EQ(t.stats.candidates, 46724);
+  EXPECT_EQ(t.stats.hits, 15952);
+  EXPECT_EQ(t.memory_bytes, 1195480u);
+}
+
+TEST(SpatialIndexMetroTest, FlatMatchesScanAndPinnedTotals) {
+  MetroProbeTotals t;
+  ASSERT_NO_FATAL_FAILURE(ProbeMetroIndex(0.0, &t));
+  EXPECT_EQ(t.stats.queries, 2000);
+  EXPECT_EQ(t.stats.cells_probed, 175128);
+  EXPECT_EQ(t.stats.tiles_probed, 2000);
+  EXPECT_EQ(t.stats.candidates, 46724);
+  EXPECT_EQ(t.stats.hits, 15952);
+  EXPECT_EQ(t.memory_bytes, 1188928u);
 }
 
 // --- Router -----------------------------------------------------------------------

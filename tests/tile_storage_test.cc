@@ -117,6 +117,82 @@ TEST(TileCoordTest, SingleTileMapsKeepDenseIds) {
   EXPECT_EQ(net.num_tiles(), 1u);
 }
 
+// --- Ordinal maps under interleaved building --------------------------------
+
+// Checks VertexOrdinal/VertexIdAt and EdgeOrdinal/EdgeIdAt against the
+// position of every vertex and edge in ForEachVertex/ForEachEdge order.
+// `edges_first` flips which table is looked up first, so each table is
+// read both right after a mutation and after the other table refreshed.
+void ExpectOrdinalsMatchEnumeration(const RoadNetwork& net, bool edges_first,
+                                    int step) {
+  const auto check_vertices = [&] {
+    size_t ordinal = 0;
+    net.ForEachVertex([&](const Vertex& v) {
+      EXPECT_EQ(net.VertexOrdinal(v.id), ordinal) << "step " << step;
+      EXPECT_EQ(net.VertexIdAt(ordinal), v.id) << "step " << step;
+      ++ordinal;
+    });
+    EXPECT_EQ(ordinal, net.num_vertices()) << "step " << step;
+  };
+  const auto check_edges = [&] {
+    size_t ordinal = 0;
+    net.ForEachEdge([&](const Edge& e) {
+      EXPECT_EQ(net.EdgeOrdinal(e.id), ordinal) << "step " << step;
+      EXPECT_EQ(net.EdgeIdAt(ordinal), e.id) << "step " << step;
+      ++ordinal;
+    });
+    EXPECT_EQ(ordinal, net.num_edges()) << "step " << step;
+  };
+  if (edges_first) {
+    check_edges();
+    check_vertices();
+  } else {
+    check_vertices();
+    check_edges();
+  }
+}
+
+TEST(OrdinalMapTest, ExactUnderInterleavedBuilding) {
+  // 100 m tiles. Mutations land out of tile order, so an addition to an
+  // earlier tile shifts the ordinals of every later tile, and one vertex
+  // opens a new tile after edges already exist.
+  RoadNetwork net(geo::LatLon{65.0, 25.0}, TilingOptions{100.0});
+  std::vector<VertexId> vs;
+  int step = 0;
+  const auto add_vertex = [&](EnPoint p) {
+    vs.push_back(net.AddVertex(p, false));
+    ExpectOrdinalsMatchEnumeration(net, step % 2 == 0, step);
+    ++step;
+  };
+  const auto add_edge = [&](size_t a, size_t b) {
+    Edge e;
+    e.from = vs[a];
+    e.to = vs[b];
+    e.geometry = geo::Polyline(
+        {net.vertex(vs[a]).position, net.vertex(vs[b]).position});
+    net.AddEdge(std::move(e));
+    ExpectOrdinalsMatchEnumeration(net, step % 2 == 0, step);
+    ++step;
+  };
+  add_vertex({10, 10});    // 0: tile (0, 0)
+  add_vertex({150, 10});   // 1: tile (1, 0)
+  add_edge(1, 0);          // edge in tile (1, 0)
+  add_edge(0, 1);          // edge in tile (0, 0) shifts tile (1, 0)'s
+  add_vertex({160, 20});   // 2: tile (1, 0)
+  add_vertex({20, 30});    // 3: tile (0, 0) shifts tile (1, 0)'s
+  add_edge(2, 1);
+  add_edge(3, 0);
+  add_vertex({-50, 250});  // 4: opens tile (-1, 2) mid-build
+  add_edge(1, 4);          // stored in tile (1, 0)
+  add_edge(4, 3);          // first edge of the new tile
+  add_edge(0, 4);          // tile (0, 0) again: shifts both later tiles
+  add_vertex({-60, 260});  // 5: tile (-1, 2)
+  add_edge(5, 4);
+  ASSERT_EQ(net.num_tiles(), 3u);
+  EXPECT_EQ(net.num_vertices(), 6u);
+  EXPECT_EQ(net.num_edges(), 8u);
+}
+
 // --- Boundary-arc invariants ------------------------------------------------
 
 class BoundaryArcTest : public testing::Test {
