@@ -2,6 +2,7 @@
 
 #include <utility>
 
+
 namespace taxitrace {
 namespace clean {
 
@@ -16,17 +17,27 @@ TripCleanOutput CleanOneTrip(trace::Trip trip,
     ++out.faults.trips_dropped_empty;
     return out;
   }
-  RepairTripOrder(&trip, &out.order);
-  FilterTripOutliers(&trip, options.outliers, &out.outliers);
+  // The raw trip's totals are not read before segmentation sets each
+  // segment's, so the stages run on the points alone and share one
+  // step-distance array (trace::StepDistances).
+  out.order.Count(RepairPointOrder(&trip.points));
+  std::vector<double> steps = trace::StepDistances(trip.points);
+  FilterOutliers(&trip.points, &steps, options.outliers, &out.outliers);
   out.points_after_outliers = static_cast<int64_t>(trip.points.size());
   if (options.restore_lost_points) {
-    RestoreTripLostPoints(&trip, options.interpolation,
-                          &out.interpolation);
+    RestoreLostPoints(&trip.points, options.interpolation,
+                      &out.interpolation);
+    steps = trace::StepDistances(trip.points);
   }
   std::vector<trace::Trip> segments =
-      SegmentTrip(trip, options.segmentation, &out.segmentation);
-  out.segments =
-      FilterTrips(std::move(segments), options.filter, &out.filter);
+      SegmentTrip(trip, steps, options.segmentation, &out.segmentation);
+  std::vector<double> lengths;
+  lengths.reserve(segments.size());
+  for (const trace::Trip& seg : segments) {
+    lengths.push_back(seg.total_distance_m);
+  }
+  out.segments = FilterTrips(std::move(segments), lengths, options.filter,
+                             &out.filter);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "taxitrace/clean/order_repair.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace taxitrace {
 namespace clean {
@@ -35,10 +36,40 @@ void AlignMonotone(std::vector<trace::RoutePoint>* points) {
   }
 }
 
+// True when the points are already non-decreasing in both point_id and
+// timestamp_s, with every timestamp finite: both stable sorts below are
+// then the identity, so the sequence is consistent as it stands.
+bool AlreadyInOrder(const std::vector<trace::RoutePoint>& points) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (!std::isfinite(points[i].timestamp_s)) return false;
+    if (i > 0 && (points[i].point_id < points[i - 1].point_id ||
+                  points[i].timestamp_s < points[i - 1].timestamp_s)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
+void OrderRepairStats::Count(ChosenOrder order) {
+  switch (order) {
+    case ChosenOrder::kConsistent:
+      ++trips_consistent;
+      break;
+    case ChosenOrder::kById:
+      ++trips_repaired_by_id;
+      break;
+    case ChosenOrder::kByTimestamp:
+      ++trips_repaired_by_timestamp;
+      break;
+  }
+}
+
 ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points) {
-  if (points->size() < 2) return ChosenOrder::kConsistent;
+  if (points->size() < 2 || AlreadyInOrder(*points)) {
+    return ChosenOrder::kConsistent;
+  }
 
   std::vector<trace::RoutePoint> by_id = *points;
   std::stable_sort(by_id.begin(), by_id.end(),
@@ -70,19 +101,7 @@ ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points) {
 ChosenOrder RepairTripOrder(trace::Trip* trip, OrderRepairStats* stats) {
   const ChosenOrder order = RepairPointOrder(&trip->points);
   trip->RecomputeTotals();
-  if (stats != nullptr) {
-    switch (order) {
-      case ChosenOrder::kConsistent:
-        ++stats->trips_consistent;
-        break;
-      case ChosenOrder::kById:
-        ++stats->trips_repaired_by_id;
-        break;
-      case ChosenOrder::kByTimestamp:
-        ++stats->trips_repaired_by_timestamp;
-        break;
-    }
-  }
+  if (stats != nullptr) stats->Count(order);
   return order;
 }
 

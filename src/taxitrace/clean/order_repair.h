@@ -30,12 +30,16 @@ struct OrderRepairStats {
   int64_t trips_consistent = 0;
   int64_t trips_repaired_by_id = 0;
   int64_t trips_repaired_by_timestamp = 0;
+
+  /// Counts one trip repaired with `order`.
+  void Count(ChosenOrder order);
 };
 
 /// Repairs one point sequence in place. Returns which order was chosen.
 /// After the call the points are in the chosen order and both the id and
 /// timestamp fields are monotonically increasing (their value multisets
-/// are preserved).
+/// are preserved). Points already non-decreasing in both fields, with
+/// finite timestamps, are returned as kConsistent without sorting.
 ChosenOrder RepairPointOrder(std::vector<trace::RoutePoint>* points);
 
 /// Repairs a trip (points + recomputed totals), updating `stats` if

@@ -37,6 +37,15 @@ void FilterOutliers(std::vector<trace::RoutePoint>* points,
                     const OutlierFilterOptions& options = {},
                     OutlierFilterStats* stats = nullptr);
 
+/// The same filter reading the points' step distances
+/// (trace::StepDistances) instead of recomputing them, and keeping
+/// `steps` in step with the points as it removes some. The overload
+/// above builds the array and calls this one.
+void FilterOutliers(std::vector<trace::RoutePoint>* points,
+                    std::vector<double>* steps,
+                    const OutlierFilterOptions& options,
+                    OutlierFilterStats* stats);
+
 /// Trip-level convenience wrapper (recomputes totals).
 void FilterTripOutliers(trace::Trip* trip,
                         const OutlierFilterOptions& options = {},

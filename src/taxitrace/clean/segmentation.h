@@ -51,12 +51,22 @@ struct SegmentationStats {
 };
 
 /// Splits one trip into trip segments. Segment trips inherit the car id;
-/// their ids are `source_trip_id * 1000 + k` (k = 0,1,...), keeping the
-/// mapping to the source trip explicit. Points must be in repaired
-/// (time-monotone) order.
+/// their ids are `source_trip_id * 1000 + k` (k = 0,1,...; see
+/// trace::SegmentTripId), keeping the mapping to the source trip
+/// explicit. Points must be in repaired (time-monotone) order.
 std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
                                      const SegmentationOptions& options = {},
                                      SegmentationStats* stats = nullptr);
+
+/// The same segmentation reading the trip's step distances
+/// (trace::StepDistances of `trip.points`) instead of recomputing them.
+/// Each segment's length is summed once from `steps` and set as its
+/// total_distance_m. The overload above builds the array and calls
+/// this one.
+std::vector<trace::Trip> SegmentTrip(const trace::Trip& trip,
+                                     const std::vector<double>& steps,
+                                     const SegmentationOptions& options,
+                                     SegmentationStats* stats);
 
 /// Segments every trip of a collection.
 std::vector<trace::Trip> SegmentTrips(const std::vector<trace::Trip>& trips,

@@ -34,6 +34,16 @@ std::vector<trace::Trip> FilterTrips(std::vector<trace::Trip> trips,
                                      const TripFilterOptions& options = {},
                                      TripFilterStats* stats = nullptr);
 
+/// The same filter with each trip's path length already known:
+/// `lengths_m[i]` must equal PathLengthMeters(trips[i].points) for every
+/// trip of at least `options.min_points` points (shorter ones are
+/// dropped unread). The overload above measures the trips and calls
+/// this one.
+std::vector<trace::Trip> FilterTrips(std::vector<trace::Trip> trips,
+                                     const std::vector<double>& lengths_m,
+                                     const TripFilterOptions& options,
+                                     TripFilterStats* stats);
+
 }  // namespace clean
 }  // namespace taxitrace
 

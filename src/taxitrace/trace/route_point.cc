@@ -12,6 +12,15 @@ double PathLengthMeters(const std::vector<RoutePoint>& points) {
   return total;
 }
 
+std::vector<double> StepDistances(const std::vector<RoutePoint>& points) {
+  std::vector<double> steps(points.size(), 0.0);
+  for (size_t k = 1; k < points.size(); ++k) {
+    steps[k] = geo::HaversineMeters(points[k - 1].position,
+                                    points[k].position);
+  }
+  return steps;
+}
+
 double TimeSpanSeconds(const std::vector<RoutePoint>& points) {
   if (points.size() < 2) return 0.0;
   return points.back().timestamp_s - points.front().timestamp_s;

@@ -34,6 +34,13 @@ struct RoutePoint {
 /// Sum of great-circle distances between consecutive points, metres.
 double PathLengthMeters(const std::vector<RoutePoint>& points);
 
+/// Great-circle distance from each point to its predecessor, metres:
+/// steps[0] = 0 and steps[k] = HaversineMeters(points[k - 1].position,
+/// points[k].position). The cleaning stages build this once per trip
+/// and share it; summing steps[1..n) left to right from 0 equals
+/// PathLengthMeters bit for bit.
+std::vector<double> StepDistances(const std::vector<RoutePoint>& points);
+
 /// Total time span between first and last point, seconds (0 for fewer
 /// than two points). Assumes the points are in time order.
 double TimeSpanSeconds(const std::vector<RoutePoint>& points);

@@ -1,6 +1,7 @@
 #include "taxitrace/trace/trace_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -17,9 +18,12 @@ constexpr const char* kHeader[] = {"trip_id",     "car_id", "point_id",
 constexpr size_t kNumColumns = sizeof(kHeader) / sizeof(kHeader[0]);
 
 /// Parses one data row into a point + its car id. On failure the status
-/// carries the row number and column name of the offending field.
-Status ParseRow(const CsvRow& row, size_t row_index, RoutePoint* point,
-                int64_t* car_id) {
+/// carries the row number and column name of the offending field. A
+/// trip id beyond +-kMaxTripId always fails (segment ids derive from
+/// it); with `finite_only`, so does a nan or inf number, which strtod
+/// accepts but no cleaning stage can order or measure.
+Status ParseRow(const CsvRow& row, size_t row_index, bool finite_only,
+                RoutePoint* point, int64_t* car_id) {
   struct Field {
     const char* name;
     bool is_int;
@@ -51,8 +55,18 @@ Status ParseRow(const CsvRow& row, size_t row_index, RoutePoint* point,
             StrFormat("row %zu, column %s: %s", row_index, fields[c].name,
                       v.status().message().c_str()));
       }
+      if (finite_only && !std::isfinite(*v)) {
+        return Status::Corruption(
+            StrFormat("row %zu, column %s: not finite: %s", row_index,
+                      fields[c].name, row[c].c_str()));
+      }
       *static_cast<double*>(fields[c].dest) = *v;
     }
+  }
+  if (trip_id > kMaxTripId || trip_id < -kMaxTripId) {
+    return Status::Corruption(StrFormat(
+        "row %zu, column trip_id: beyond +-%lld: %s", row_index,
+        static_cast<long long>(kMaxTripId), row[0].c_str()));
   }
   point->trip_id = trip_id;
   return Status::OK();
@@ -110,7 +124,8 @@ Result<std::vector<Trip>> TripsFromCsv(const std::string& text) {
   for (size_t r = 1; r < rows.size(); ++r) {
     RoutePoint p;
     int64_t car_id = 0;
-    TAXITRACE_RETURN_IF_ERROR(ParseRow(rows[r], r, &p, &car_id));
+    TAXITRACE_RETURN_IF_ERROR(
+        ParseRow(rows[r], r, /*finite_only=*/true, &p, &car_id));
     AppendPoint(&trips, p, car_id);
   }
   for (Trip& t : trips) t.RecomputeTotals();
@@ -139,7 +154,7 @@ Result<std::vector<Trip>> TripsFromCsvLenient(const std::string& text,
     }
     RoutePoint p;
     int64_t car_id = 0;
-    if (!ParseRow(row, r, &p, &car_id).ok()) {
+    if (!ParseRow(row, r, /*finite_only=*/false, &p, &car_id).ok()) {
       ++stats->rows_dropped_malformed;
       continue;
     }

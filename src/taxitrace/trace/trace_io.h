@@ -20,7 +20,8 @@ std::string TripsToCsv(const std::vector<Trip>& trips);
 /// Parses the format written by TripsToCsv. Points with the same trip_id
 /// must be contiguous; trip totals are recomputed from the points.
 /// Strict: any malformed row fails the whole document, with row and
-/// column context in the status message.
+/// column context in the status message. Malformed includes a nan or
+/// inf number and a trip_id beyond +-kMaxTripId (trip.h).
 Result<std::vector<Trip>> TripsFromCsv(const std::string& text);
 
 /// Row-level accounting from a lenient parse (TripsFromCsvLenient).
@@ -33,9 +34,11 @@ struct TraceIoStats {
 };
 
 /// Fault-tolerant variant of TripsFromCsv: a malformed data row (wrong
-/// field count, unparsable number, non-text bytes) is dropped and
-/// counted in `stats` instead of failing the document. The header must
-/// still be intact — a file whose header is gone is not a trace file.
+/// field count, unparsable number, trip_id beyond +-kMaxTripId,
+/// non-text bytes) is dropped and counted in `stats` instead of failing
+/// the document. Non-finite numbers are kept: the sanitiser drops and
+/// counts those points. The header must still be intact — a file whose
+/// header is gone is not a trace file.
 /// Adjacent rows sharing a trip_id group into one trip, as in the
 /// strict parser.
 Result<std::vector<Trip>> TripsFromCsvLenient(const std::string& text,

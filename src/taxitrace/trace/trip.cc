@@ -3,9 +3,11 @@
 namespace taxitrace {
 namespace trace {
 
-void Trip::RecomputeTotals() {
+void Trip::RecomputeTotals() { RecomputeTotals(PathLengthMeters(points)); }
+
+void Trip::RecomputeTotals(double path_length_m) {
   total_time_s = TimeSpanSeconds(points);
-  total_distance_m = PathLengthMeters(points);
+  total_distance_m = path_length_m;
   total_fuel_ml = 0.0;
   for (const RoutePoint& p : points) total_fuel_ml += p.fuel_delta_ml;
 }

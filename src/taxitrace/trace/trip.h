@@ -33,7 +33,23 @@ struct Trip {
   /// Recomputes the totals from the route points (used after cleaning or
   /// segmentation invalidates device-reported totals).
   void RecomputeTotals();
+  /// The same, taking the path length already summed by the caller; it
+  /// must equal PathLengthMeters(points).
+  void RecomputeTotals(double path_length_m);
 };
+
+/// Largest trip id magnitude a trace loader accepts. Segmentation
+/// derives segment ids as SegmentTripId below; within +-kMaxTripId,
+/// `trip_id * 1000` stays within +-1e18, so adding any segment index a
+/// trip can reach cannot overflow int64.
+inline constexpr int64_t kMaxTripId = 1'000'000'000'000'000;  // 1e15
+
+/// Id of the k-th segment cut from trip `source_trip_id`:
+/// `source_trip_id * 1000 + k`. `source_trip_id` must lie within
+/// +-kMaxTripId.
+inline int64_t SegmentTripId(int64_t source_trip_id, int64_t k) {
+  return source_trip_id * 1000 + k;
+}
 
 }  // namespace trace
 }  // namespace taxitrace

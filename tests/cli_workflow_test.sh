@@ -21,6 +21,17 @@ test "$(wc -l < trips.csv)" -gt 100
 "$CLI" clean trips.csv segments.csv | grep -q "rule 1 splits"
 test -s segments.csv
 
+# A non-finite number in a trace file is a load error, not input for
+# the cleaning stages.
+sed '2s/^\([^,]*,[^,]*,[^,]*\),[^,]*,/\1,nan,/' trips.csv > nan_trips.csv
+rc=0
+"$CLI" clean nan_trips.csv nan_segments.csv > /dev/null 2> err.txt || rc=$?
+if [ "$rc" -eq 0 ] || ! grep -q "^error: .*not finite: nan" err.txt; then
+  echo "expected an error for a nan timestamp, got $rc" >&2
+  cat err.txt >&2
+  exit 1
+fi
+
 "$CLI" match elements.csv features.csv segments.csv routes.geojson 20 \
   | grep -q "matched"
 grep -q "LineString" routes.geojson

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include "taxitrace/trace/time_util.h"
 #include "taxitrace/trace/trace_io.h"
@@ -124,6 +126,74 @@ TEST(TraceIoTest, RejectsNonNumericField) {
   const size_t pos = csv.find("\n") + 1;
   csv.replace(pos, 1, "x");
   EXPECT_FALSE(TripsFromCsv(csv).ok());
+}
+
+// Replaces field `column` of the first data row of `csv` with `text`.
+std::string WithField(std::string csv, size_t column,
+                      const std::string& text) {
+  size_t begin = csv.find('\n') + 1;
+  for (size_t c = 0; c < column; ++c) begin = csv.find(',', begin) + 1;
+  const size_t end = csv.find_first_of(",\n", begin);
+  return csv.replace(begin, end - begin, text);
+}
+
+// strtod reads nan and inf (and overflows to inf). The strict loader
+// rejects them, naming the row and column; the lenient loader keeps
+// them for the sanitiser to drop and count.
+TEST(TraceIoTest, NonFiniteNumbersAreCorruption) {
+  const std::string csv = TripsToCsv({MakeTrip(1, 1)});
+  const char* const columns[] = {"timestamp_s", "lat", "lon", "speed_kmh",
+                                 "fuel_delta_ml"};
+  for (size_t c = 0; c < 5; ++c) {
+    for (const char* text : {"nan", "inf", "-inf", "NAN", "1e999"}) {
+      SCOPED_TRACE(std::string(columns[c]) + " = " + text);
+      const std::string bad = WithField(csv, 3 + c, text);
+      const Result<std::vector<Trip>> strict = TripsFromCsv(bad);
+      ASSERT_TRUE(strict.status().IsCorruption());
+      EXPECT_EQ(strict.status().message(),
+                std::string("row 1, column ") + columns[c] +
+                    ": not finite: " + text);
+      TraceIoStats stats;
+      const Result<std::vector<Trip>> lenient =
+          TripsFromCsvLenient(bad, &stats);
+      ASSERT_TRUE(lenient.ok());
+      EXPECT_EQ(stats.rows_dropped_malformed, 0);
+      ASSERT_EQ(lenient->size(), 1u);
+      EXPECT_EQ((*lenient)[0].points.size(), 2u);
+    }
+  }
+}
+
+// Segment ids are trip_id * 1000 + k, so both loaders bound the trip id:
+// +-kMaxTripId loads, one past it is malformed.
+TEST(TraceIoTest, TripIdBeyondBoundIsMalformed) {
+  for (const int64_t id : {kMaxTripId, -kMaxTripId}) {
+    const std::string csv = TripsToCsv({MakeTrip(id, 1)});
+    const Result<std::vector<Trip>> strict = TripsFromCsv(csv);
+    ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+    EXPECT_EQ((*strict)[0].trip_id, id);
+    EXPECT_EQ(SegmentTripId(id, 999), id * 1000 + 999);
+    TraceIoStats stats;
+    EXPECT_EQ(TripsFromCsvLenient(csv, &stats)->size(), 1u);
+    EXPECT_EQ(stats.rows_dropped_malformed, 0);
+  }
+  for (const int64_t id : {kMaxTripId + 1, -kMaxTripId - 1,
+                           std::numeric_limits<int64_t>::max()}) {
+    SCOPED_TRACE(id);
+    const std::string csv =
+        TripsToCsv({MakeTrip(id, 1), MakeTrip(7, 1)});
+    const Result<std::vector<Trip>> strict = TripsFromCsv(csv);
+    ASSERT_TRUE(strict.status().IsCorruption());
+    EXPECT_NE(strict.status().message().find("row 1, column trip_id"),
+              std::string::npos);
+    TraceIoStats stats;
+    const Result<std::vector<Trip>> lenient =
+        TripsFromCsvLenient(csv, &stats);
+    ASSERT_TRUE(lenient.ok());
+    EXPECT_EQ(stats.rows_dropped_malformed, 2);
+    ASSERT_EQ(lenient->size(), 1u);
+    EXPECT_EQ((*lenient)[0].trip_id, 7);
+  }
 }
 
 TEST(TraceIoTest, FileRoundTrip) {
