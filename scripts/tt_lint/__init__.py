@@ -7,7 +7,7 @@ tracking) feeds multi-pass rule classes:
   pass 1  repo-wide fact collection (Status-returning functions,
           unordered-container declarations) over every file,
   pass 2  file-scope rules over each file's token stream,
-  pass 3  repo-scope rules (test/bench registration),
+  pass 3  repo-scope rules (test/example registration),
   pass 4  suppression + baseline resolution.
 
 Entry points: `python3 scripts/tt_lint.py` (shim kept for CI/ctest) or

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the golden study digest (tests/golden/study_small.json).
+"""Regenerate the golden files under tests/golden/.
 
-Builds the regression_test target and runs the golden-digest test with
-TAXITRACE_UPDATE_GOLDEN=1, which makes the test rewrite the golden file
-from the current pipeline output instead of comparing against it. Use
-this only for an *intentional* behaviour change, and review the diff of
-the golden file like any other code change.
+Builds the regression_test and full_study targets, then runs the
+golden-digest test and tests/full_study_test.sh with
+TAXITRACE_UPDATE_GOLDEN=1, which makes them rewrite
+tests/golden/study_small.json and tests/golden/full_study_report.txt
+from the current output instead of comparing against it. Use this only
+for an *intentional* behaviour change, and review the diff of the
+golden files like any other code change.
 
 Usage:
   scripts/update_golden.py [--build-dir BUILD]
@@ -43,12 +45,15 @@ def main() -> int:
             print("error: cmake not found on PATH", file=sys.stderr)
             return 1
         run(["cmake", "-B", str(build_dir), "-S", str(REPO_ROOT)])
-    run(["cmake", "--build", str(build_dir), "--target", "regression_test"])
+    run(["cmake", "--build", str(build_dir), "--target", "regression_test",
+         "full_study"])
 
     test_binary = build_dir / "tests" / "regression_test"
-    if not test_binary.exists():
-        print(f"error: {test_binary} not built", file=sys.stderr)
-        return 1
+    study_binary = build_dir / "examples" / "full_study"
+    for binary in (test_binary, study_binary):
+        if not binary.exists():
+            print(f"error: {binary} not built", file=sys.stderr)
+            return 1
 
     env = dict(os.environ, TAXITRACE_UPDATE_GOLDEN="1")
     run(
@@ -59,10 +64,20 @@ def main() -> int:
         env=env,
     )
 
-    golden = REPO_ROOT / "tests" / "golden" / "study_small.json"
-    print(f"regenerated {golden}")
+    golden_dir = REPO_ROOT / "tests" / "golden"
+    run(
+        [
+            "bash",
+            str(REPO_ROOT / "tests" / "full_study_test.sh"),
+            str(study_binary),
+            str(golden_dir / "full_study_report.txt"),
+        ],
+        env=env,
+    )
+
+    print(f"regenerated the golden files in {golden_dir}")
     print("review the diff before committing:")
-    run(["git", "--no-pager", "diff", "--stat", str(golden)])
+    run(["git", "--no-pager", "diff", "--stat", str(golden_dir)])
     return 0
 
 

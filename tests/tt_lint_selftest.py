@@ -196,7 +196,7 @@ def main() -> int:
     check_case("idiom")
     check_case("engine")
     check_case("clean")
-    check_case("repo", extra_paths=["tests", "bench"])
+    check_case("repo", extra_paths=["tests", "examples"])
     check_exit_codes()
     check_sarif()
     check_baseline()
